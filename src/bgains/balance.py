@@ -27,6 +27,8 @@ The brute-force functions enumerate every candidate labeling (all
 the library's independent check on the closed-form counts, so they stay
 definitional; the only liberty taken is columnar evaluation with numpy,
 which ``brute_force_count_reference`` cross-checks in the test suite.
+Candidates are numbered lexicographically and filtered one fixed-size
+block at a time, so the budget bounds the oracle's time, not its memory.
 """
 
 from __future__ import annotations
@@ -69,6 +71,10 @@ EDGES = "edges"
 FULL = "full"
 
 DEFAULT_ORACLE_BUDGET = 10_000_000
+
+# Candidates filtered at a time by the oracle.  Peak memory follows this,
+# not the size of the candidate space.
+_BLOCK_SIZE = 1 << 16
 
 
 class WalkError(ValueError):
@@ -338,39 +344,42 @@ def _checked_total(group: FiniteGroup, d: Digraph, target: str, mode: str, budge
     return slots, total
 
 
-def _survivors(group, d, target, mode, budget) -> tuple[np.ndarray, int]:
-    """Indices (in lexicographic candidate order) of balanced labelings."""
+def _survivor_blocks(group, d, target, mode, budget) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """Place value of each slot's digit in the lexicographic candidate
+    number, and the indices of balanced labelings in that order, one array
+    per block of ``_BLOCK_SIZE`` consecutive candidates.
+
+    Raises OracleBudgetError here, before any block is filtered.
+    """
     slots, total = _checked_total(group, d, target, mode, budget)
+    powers = np.array([group.order ** (slots - 1 - s) for s in range(slots)], dtype=np.int64)
+    return powers, _filter_blocks(group, d, target, mode, powers, total)
+
+
+def _filter_blocks(group, d, target, mode, powers, total) -> Iterator[np.ndarray]:
     table = np.asarray(group.table, dtype=np.int64)
     inverse = np.asarray(group.inverse, dtype=np.int64)
     order = group.order
-    powers = [order ** (slots - 1 - s) for s in range(slots)]
-
-    alive = np.arange(total, dtype=np.int64)
-    for walk in _walks_by_length(d, mode):
-        if alive.size == 0:
-            break
-        slot_vals: dict[int, np.ndarray] = {}
-        acc = np.full(alive.shape, group.identity, dtype=np.int64)
-        for slot, invert in _walk_ops(walk, target, d.n_vertices):
-            vals = slot_vals.get(slot)
-            if vals is None:
-                vals = (alive // powers[slot]) % order
-                slot_vals[slot] = vals
-            acc = table[acc, inverse[vals] if invert else vals]
-        alive = alive[acc == group.identity]
-    return alive, slots
-
-
-def _decode(group: FiniteGroup, d: Digraph, target: str, mode: str, index: int, slots: int):
-    order = group.order
-    digits = []
-    for s in range(slots):
-        digits.append((index // order ** (slots - 1 - s)) % order)
-    if target == EDGES:
-        return EdgeLabeling(tuple(digits), mode)
-    n = d.n_vertices
-    return FullLabeling(tuple(digits[:n]), tuple(digits[n:]), mode)
+    walks = _walks_by_length(d, mode)
+    for start in range(0, total, _BLOCK_SIZE):
+        alive = np.arange(start, min(start + _BLOCK_SIZE, total), dtype=np.int64)
+        # Each walk's schedule is rebuilt per block, not kept: the identity
+        # labeling survives every walk, so keeping them would hold the whole
+        # walk family's schedules at once, more memory than a small
+        # instance's candidates take.
+        for walk in walks:
+            if alive.size == 0:
+                break
+            slot_vals: dict[int, np.ndarray] = {}
+            acc = np.full(alive.shape, group.identity, dtype=np.int64)
+            for slot, invert in _walk_ops(walk, target, d.n_vertices):
+                vals = slot_vals.get(slot)
+                if vals is None:
+                    vals = (alive // powers[slot]) % order
+                    slot_vals[slot] = vals
+                acc = table[acc, inverse[vals] if invert else vals]
+            alive = alive[acc == group.identity]
+        yield alive
 
 
 def brute_force_count(
@@ -386,8 +395,8 @@ def brute_force_count(
     target, |V|+|E| for full) and checks every closed walk; raises
     OracleBudgetError up front when the candidate space exceeds ``budget``.
     """
-    alive, _ = _survivors(group, d, target, mode, budget)
-    return int(alive.size)
+    _, blocks = _survivor_blocks(group, d, target, mode, budget)
+    return sum(int(alive.size) for alive in blocks)
 
 
 def brute_force_labelings(
@@ -398,8 +407,40 @@ def brute_force_labelings(
     budget: int = DEFAULT_ORACLE_BUDGET,
 ) -> list[EdgeLabeling | FullLabeling]:
     """The balanced labelings themselves, in lexicographic candidate order."""
-    alive, slots = _survivors(group, d, target, mode, budget)
-    return [_decode(group, d, target, mode, int(i), slots) for i in alive]
+    powers, blocks = _survivor_blocks(group, d, target, mode, budget)
+    order = group.order
+    out: list[EdgeLabeling | FullLabeling] = []
+    if target == EDGES:
+        for alive in blocks:
+            rows = ((alive[:, None] // powers) % order).tolist()
+            out.extend(EdgeLabeling(tuple(r), mode) for r in rows)
+        return out
+    # A full labeling's vertex values and edge values are the high and the
+    # low digits of its candidate number.  Survivors repeat few distinct
+    # halves, so each half is decoded once and its tuple shared: one new
+    # object per survivor instead of three, which saves memory and garbage
+    # collector passes over the growing result.
+    n = d.n_vertices
+    low = order**d.n_edges
+    vertex_values = _DigitTuples(powers[:n] // low, order)
+    edge_values = _DigitTuples(powers[n:], order)
+    for alive in blocks:
+        halves = zip((alive // low).tolist(), (alive % low).tolist())
+        out.extend(FullLabeling(vertex_values[hi], edge_values[lo], mode) for hi, lo in halves)
+    return out
+
+
+class _DigitTuples(dict):
+    """Base-``order`` digit tuple of a number, decoded on first lookup."""
+
+    def __init__(self, powers: np.ndarray, order: int):
+        super().__init__()
+        self._powers = powers.tolist()
+        self._order = order
+
+    def __missing__(self, number: int) -> tuple[int, ...]:
+        digits = self[number] = tuple((number // p) % self._order for p in self._powers)
+        return digits
 
 
 def brute_force_count_reference(

@@ -9,8 +9,9 @@ enumerate   stream every balanced labeling, one per line
 sample      one uniformly random balanced labeling
 group-info  order, involution count and abelianness of a group
 
-Exit codes: 0 success (and verify PASS), 1 usage or input error,
-2 verify FAIL, 3 oracle budget exceeded.  The oracle budget comes from
+Exit codes: 0 success (and verify PASS), 1 usage or input error (or
+stdout closed before the output ended, which prints nothing), 2 verify
+FAIL, 3 oracle budget exceeded.  The oracle budget comes from
 --budget when given, else the BG_ORACLE_BUDGET environment variable,
 else the library default.
 """
@@ -18,6 +19,7 @@ else the library default.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import os
 import sys
@@ -74,6 +76,12 @@ def _labeling_tokens(labeling, group: FiniteGroup, show_elements: bool) -> str:
     return " ".join(str(v) for v in values)
 
 
+def _decimal(n: int) -> str:
+    """Base-10 digits of ``n``.  Counts can exceed the interpreter's
+    int-to-str digit limit, which ``decimal`` does not apply."""
+    return str(decimal.Decimal(n))
+
+
 def _oracle_budget(args) -> int:
     if args.budget is not None:
         return args.budget
@@ -105,7 +113,7 @@ def cmd_analyze(args) -> int:
 
 def _count_report(group: FiniteGroup, group_spec: str, d: Digraph, args) -> dict:
     result = count(group, d, args.target, args.mode)
-    report = analyze(d)
+    report = result.report
     return {
         "mode": args.mode,
         "target": args.target,
@@ -119,7 +127,7 @@ def _count_report(group: FiniteGroup, group_spec: str, d: Digraph, args) -> dict
         "cross_scc_edges": report.cross_scc_edges,
         "s_exponent": result.s,
         "t_exponent": result.t,
-        "count_decimal": str(result.value),
+        "count_decimal": _decimal(result.value),
     }
 
 
@@ -161,7 +169,7 @@ def cmd_enumerate(args) -> int:
     for labeling in enumerate_all(group, d, args.target, args.mode):
         if args.limit is not None and emitted >= args.limit:
             total = count(group, d, args.target, args.mode).value
-            print(f"# truncated: {emitted} of {total} labelings shown")
+            print(f"# truncated: {emitted} of {_decimal(total)} labelings shown")
             break
         print(_labeling_tokens(labeling, group, args.show_elements))
         emitted += 1
@@ -261,7 +269,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (``bgains enumerate ... | head``): stop
+        # quietly.  Later writes, such as the flush at exit, go to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
     except (
         GraphFormatError,
         GroupSpecError,

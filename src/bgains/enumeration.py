@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Iterator
 
@@ -81,11 +81,17 @@ class UnbalancedLabelingError(ValueError):
 
 @dataclass(frozen=True)
 class BalancedCount:
-    """Exact count in factored form: value = |G2|^s * |G|^t."""
+    """Exact count in factored form: value = |G2|^s * |G|^t.
+
+    ``count`` also attaches the structure report its exponents were read
+    from, so a caller that shows the structure too need not run
+    ``analyze`` again.  The report takes no part in comparisons.
+    """
 
     s: int
     t: int
     value: int
+    report: StructureReport | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def of(cls, s: int, t: int, group: FiniteGroup) -> "BalancedCount":
@@ -118,7 +124,10 @@ def count(group: FiniteGroup, d: Digraph, target: str, mode: str) -> BalancedCou
     _check_target(target)
     _check_mode(mode)
     report = _connected_report(d)
-    v = d.n_vertices
+    return replace(_closed_form(group, d.n_vertices, report, target, mode), report=report)
+
+
+def _closed_form(group: FiniteGroup, v: int, report: StructureReport, target: str, mode: str) -> BalancedCount:
     if mode == FLEXIBLE:
         if target == EDGES:
             return BalancedCount.of(0, v - 1, group)

@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgains import balance
 from bgains.balance import (
     EDGES,
     FLEXIBLE,
@@ -27,10 +29,11 @@ from bgains.balance import (
     walk_product_edges,
     walk_product_full,
 )
-from bgains.digraph import Digraph, iter_connected_multigraphs
+from bgains.digraph import Digraph, iter_connected_multigraphs, load_graph
+from bgains.enumeration import enumerate_all
 from bgains.groups import make_group
 
-from conftest import random_connected_digraph
+from conftest import DATA, random_connected_digraph
 
 
 def canon(walk):
@@ -309,6 +312,40 @@ def test_vectorized_oracle_matches_reference_s3(triangle, path2):
             assert brute_force_count(s3, d, target, mode) == brute_force_count_reference(
                 s3, d, target, mode
             )
+
+
+def _candidate_digits(labeling):
+    if isinstance(labeling, EdgeLabeling):
+        return labeling.values
+    return labeling.vertex_values + labeling.edge_values
+
+
+def test_small_blocks_match_reference_and_enumeration(monkeypatch):
+    # An odd block size puts block edges everywhere in the candidate order.
+    monkeypatch.setattr(balance, "_BLOCK_SIZE", 7)
+    c3 = make_group("cyclic:3")
+    for path in sorted(DATA.glob("*.txt")):
+        d = load_graph(path.read_text())
+        for target in (EDGES, FULL):
+            for mode in (FLEXIBLE, RIGID):
+                case = (path.name, target, mode)
+                assert brute_force_count(c3, d, target, mode) == brute_force_count_reference(
+                    c3, d, target, mode
+                ), case
+                expected = sorted(enumerate_all(c3, d, target, mode), key=_candidate_digits)
+                assert brute_force_labelings(c3, d, target, mode) == expected, case
+
+
+def test_oracle_memory_does_not_grow_with_candidates(cycle4):
+    g = make_group("cyclic:6")  # 6**8 = 1,679,616 candidates
+    tracemalloc.start()
+    try:
+        survivors = brute_force_count(g, cycle4, FULL, FLEXIBLE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert survivors == 6**4
+    assert peak < 16 * 2**20
 
 
 def test_brute_force_labelings_are_balanced_and_distinct(groups, triangle):

@@ -1,12 +1,16 @@
-"""Command line behavior: output contracts and exit codes, in process."""
+"""Command line behavior: output contracts and exit codes, in process
+except where a real pipe is needed."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
-from bgains import cli
+from bgains import cli, enumeration
 from bgains.balance import FullLabeling, is_balanced_full
 from bgains.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from bgains.digraph import analyze
 from bgains.groups import make_group
 
 from conftest import DATA
@@ -126,6 +130,20 @@ def test_count_deterministic(run):
     assert a == b
 
 
+def test_count_analyzes_the_graph_once(run, monkeypatch):
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return analyze(d)
+
+    monkeypatch.setattr(cli, "analyze", counted)
+    monkeypatch.setattr(enumeration, "analyze", counted)
+    report = count_json(run, THETA, "symmetric:3", "full", "rigid")
+    assert len(calls) == 1
+    assert (report["scc_count"], report["cross_scc_edges"]) == (1, 0)
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -191,6 +209,49 @@ def test_enumerate_limit_marker(run):
     assert len(lines) == 3
     assert all(len(line.split()) == 6 for line in lines[:2])
     assert lines[2].startswith("#") and "2" in lines[2] and "8" in lines[2]
+
+
+@pytest.fixture()
+def long_path(tmp_path):
+    """A 6,000-vertex path: 6**5999 balanced edge labelings over cyclic:6,
+    a count of 4,669 digits, past the interpreter's int-to-str limit."""
+    path = tmp_path / "path6000.txt"
+    path.write_text("n=6000\n" + "".join(f"{v} {v + 1}\n" for v in range(5999)))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(6**5999)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return str(path), digits
+
+
+def test_counts_beyond_the_int_to_str_limit(run, long_path):
+    graph, digits = long_path
+    assert len(digits) > sys.get_int_max_str_digits()
+    assert count_json(run, graph, "cyclic:6", "edges", "flexible")["count_decimal"] == digits
+    code, out, err = run(
+        "enumerate", graph, "--group", "cyclic:6", "--target", "edges", "--mode", "flexible",
+        "--limit", "0",
+    )
+    assert (code, err) == (EXIT_OK, "")
+    assert out == f"# truncated: 0 of {digits} labelings shown\n"
+
+
+def test_enumerate_into_closed_pipe_is_quiet():
+    cmd = [
+        sys.executable, "-m", "bgains", "enumerate", THETA,
+        "--group", "symmetric:3", "--target", "full", "--mode", "rigid",
+    ]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline().strip()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert err == b""
+    assert proc.returncode == EXIT_USAGE
 
 
 def test_enumerate_limit_not_reached_prints_no_marker(run):
