@@ -87,8 +87,12 @@ class OracleBudgetError(RuntimeError):
     def __init__(self, required: int, budget: int):
         self.required = required
         self.budget = budget
+        # decimal, unlike str, prints counts past the int-to-str digit limit.
+        # Imported here so that ``import bgains`` does not pay for it.
+        import decimal
+
         super().__init__(
-            f"brute force requires {required} candidate labelings, "
+            f"brute force requires {decimal.Decimal(required)} candidate labelings, "
             f"exceeding the budget of {budget}"
         )
 

@@ -151,7 +151,7 @@ def cmd_verify(args) -> int:
     try:
         oracle = brute_force_count(group, d, args.target, args.mode, budget=_oracle_budget(args))
     except OracleBudgetError as exc:
-        print(f"BUDGET: instance requires {exc.required} candidates, budget is {exc.budget}")
+        print(f"BUDGET: instance requires {_decimal(exc.required)} candidates, budget is {exc.budget}")
         return EXIT_BUDGET
     if formula == oracle:
         print(f"PASS: formula {formula} == oracle {oracle}")

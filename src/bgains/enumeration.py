@@ -22,21 +22,32 @@ possible:
   vertex values propagate by ``h(w) = h(e)^-1 h(u)^-1 h(e)``; on
   non-bipartite graphs a must be an involution, vertex values propagate by
   conjugation ``h(w) = f(e)^-1 h(u) f(e)`` and edge values are
-  ``h(e) = h(origin) f(e)``;
+  ``h(e) = h(origin) f(e)``.  For balanced f the propagation does not
+  depend on the path: with p the potential of f, ``h(v) = p(v)^-1 a p(v)``,
+  except that a becomes a^-1 at odd distance from the base on bipartite
+  graphs;
 * rigid cycles never leave a strongly connected component, so a balanced
   rigid edge labeling is an independent potential-induced labeling inside
   each component plus a free value on every cross-component edge;
 * rigid full labelings pair free vertex values with a balanced rigid edge
   labeling via ``h(e) = h(origin)^-1 f(e)``.
 
-Enumeration order: the free coordinates are, in order, the extra base
-element where present, then potential values on non-base vertices by
-increasing vertex index (for rigid full: values on all vertices first),
-then cross-component edge values by increasing edge id; streams are
-lexicographic over that coordinate vector, element index 0 first.
-``sample_uniform`` draws the same coordinates, in the same order, from
-``random.Random(seed)`` (Mersenne Twister via ``randrange``), so samples
-are reproducible across platforms.
+Enumeration order: each instance has one coordinate frame, built from one
+``analyze``.  Its radices are ``|G2|`` for the extra base element of a
+non-bipartite full flexible labeling, then ``|G|`` for every other free
+coordinate.  The coordinates are, in order, the extra base element where
+present (for rigid full: values on all vertices instead), then potential
+values on non-base vertices by increasing vertex index, then
+cross-component edge values by increasing edge id.  The base vertices, with
+potential the identity, are the smallest vertex of the whole graph
+(flexible) or of each strongly connected component (rigid).  An extra base
+element coordinate c stands for element c, or for the c-th involution in
+increasing index order when the radix is ``|G2|``.  Decoding a coordinate
+vector applies the bijections above to it.  Streams are lexicographic over
+the coordinate vector, element index 0 first.  ``sample_uniform`` draws
+the same coordinates, in the same order, from ``random.Random(seed)``
+(Mersenne Twister, one ``randrange`` per radix), so samples are
+reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -65,7 +76,6 @@ __all__ = [
     "pair_to_full_odd",
     "pair_to_full_rigid",
     "potential_to_edges",
-    "rigid_edge_enumerator",
     "sample_uniform",
 ]
 
@@ -168,57 +178,78 @@ def edges_to_potential(group: FiniteGroup, d: Digraph, f: EdgeLabeling, base: in
     _connected_report(d)
     if not 0 <= base < d.n_vertices:
         raise ValueError(f"base vertex {base} out of range")
+    return Potential(tuple(_tree_potential(group, d, _spanning_tree(d, base), f.values)), base)
 
-    mul, inv = group.mul, group.inv
+
+def _spanning_tree(d: Digraph, root: int) -> list[tuple[int, int, int, bool]]:
+    """Breadth-first spanning tree of the underlying undirected graph of a
+    weakly connected digraph.
+
+    One ``(e, u, w, backwards)`` per vertex w other than ``root``, in visit
+    order: u was reached before w, and edge e joins them, running w -> u
+    when ``backwards``.
+    """
     incident: list[list[tuple[int, int, bool]]] = [[] for _ in range(d.n_vertices)]
     for e, (u, w) in enumerate(d.edges):
         incident[u].append((e, w, False))
         incident[w].append((e, u, True))
-
-    values: list[int | None] = [None] * d.n_vertices
-    values[base] = group.identity
-    queue = deque([base])
+    seen = [False] * d.n_vertices
+    seen[root] = True
+    tree = []
+    queue = deque([root])
     while queue:
         u = queue.popleft()
         for e, w, backwards in incident[u]:
-            if values[w] is None:
-                x = f.values[e]
-                values[w] = mul(values[u], inv(x) if backwards else x)
+            if not seen[w]:
+                seen[w] = True
+                tree.append((e, u, w, backwards))
                 queue.append(w)
+    return tree
+
+
+def _tree_potential(group: FiniteGroup, d: Digraph, tree, f: tuple[int, ...]) -> list[int]:
+    """The potential p with identity at the tree's root and
+    ``f(e) = p(origin)^-1 p(endpoint)`` along the tree, checked on every
+    edge afterwards."""
+    table, inverse = group.table, group.inverse
+    p = [group.identity] * d.n_vertices
+    for e, u, w, backwards in tree:
+        x = f[e]
+        p[w] = table[p[u]][inverse[x] if backwards else x]
     for e, (u, w) in enumerate(d.edges):
-        if mul(values[u], f.values[e]) != values[w]:
+        if table[p[u]][f[e]] != p[w]:
             raise UnbalancedLabelingError(
                 f"edge {e} contradicts the propagated potential: the labeling is not balanced"
             )
-    return Potential(tuple(values), base)
+    return p
 
 
-def _propagate_vertex_values(group, d, seed_vertex, seed_value, step):
-    """BFS h over the underlying undirected graph from one seeded vertex.
+def _odd_depth(n_vertices: int, tree) -> list[bool]:
+    """Whether each vertex lies at odd depth in ``tree``; on a bipartite
+    graph, whether it is on the other side from the root."""
+    odd = [False] * n_vertices
+    for _, u, w, _ in tree:
+        odd[w] = not odd[u]
+    return odd
 
-    ``step(value_at_from, edge_value, backwards)`` gives the value at the far
-    endpoint.  Afterwards every edge is re-checked with the same rule, so an
-    ill-defined assignment cannot escape."""
-    incident: list[list[tuple[int, int, bool]]] = [[] for _ in range(d.n_vertices)]
-    for e, (u, w) in enumerate(d.edges):
-        incident[u].append((e, w, False))
-        incident[w].append((e, u, True))
-    values: list[int | None] = [None] * d.n_vertices
-    values[seed_vertex] = seed_value
-    queue = deque([seed_vertex])
-    while queue:
-        u = queue.popleft()
-        for e, w, backwards in incident[u]:
-            if values[w] is None:
-                values[w] = step(values[u], e, backwards)
-                queue.append(w)
-    for e, (u, w) in enumerate(d.edges):
-        if step(values[u], e, False) != values[w]:
-            raise UnbalancedLabelingError(
-                f"vertex values are not well-defined at edge {e}: "
-                "check the bipartiteness/involution preconditions and that f is balanced"
-            )
-    return values
+
+def _full_flexible(group: FiniteGroup, d: Digraph, a: int, p, f: tuple[int, ...], odd) -> FullLabeling:
+    """The full labeling paired with (a, f), where f is the coboundary of
+    the potential p and p is the identity at the base vertex.
+
+    Vertex values are ``h(v) = p(v)^-1 a' p(v)``.  On a bipartite graph
+    ``odd`` marks the vertices at odd depth, where a' = a^-1 (elsewhere
+    a' = a), and the edge values are f.  Otherwise ``odd`` is None, a' = a,
+    and ``h(e) = h(origin) f(e)``.
+    """
+    conj = group.conj
+    if odd is not None:
+        a_inv = group.inverse[a]
+        return FullLabeling(tuple(conj(a_inv if o else a, x) for o, x in zip(odd, p)), f, FLEXIBLE)
+    table = group.table
+    vertex_values = tuple(conj(a, x) for x in p)
+    edge_values = tuple(table[vertex_values[u]][x] for (u, _), x in zip(d.edges, f))
+    return FullLabeling(vertex_values, edge_values, FLEXIBLE)
 
 
 def pair_to_full_bipartite(
@@ -227,22 +258,17 @@ def pair_to_full_bipartite(
     """Extend (a, f) to a full labeling on a bipartite-underlying digraph.
 
     Edge values are f's; vertex values start from h(base) = a and alternate
-    by ``h(w) = f(e)^-1 h(u)^-1 f(e)``.  Well-defined for balanced f on
-    bipartite graphs (the propagation re-check raises otherwise).
+    by ``h(w) = f(e)^-1 h(u)^-1 f(e)``.  Raises UnbalancedLabelingError when
+    f is not balanced or the underlying graph is not bipartite.
     """
     _require_edge_shape(d, f, FLEXIBLE)
-    _connected_report(d)
+    report = _connected_report(d)
     _check_base(d, base)
-    mul, inv = group.mul, group.inv
-
-    def step(hu, e, backwards):
-        x = f.values[e]
-        if backwards:
-            x = inv(x)
-        return mul(mul(inv(x), inv(hu)), x)
-
-    values = _propagate_vertex_values(group, d, base, a, step)
-    return FullLabeling(tuple(values), f.values, FLEXIBLE)
+    if not report.bipartite:
+        raise UnbalancedLabelingError("the underlying graph is not bipartite; use pair_to_full_odd")
+    tree = _spanning_tree(d, base)
+    p = _tree_potential(group, d, tree, f.values)
+    return _full_flexible(group, d, a, p, f.values, _odd_depth(d.n_vertices, tree))
 
 
 def pair_to_full_odd(
@@ -252,24 +278,16 @@ def pair_to_full_odd(
     underlying graph is non-bipartite.
 
     Vertex values are the conjugates ``h(w) = f(e)^-1 h(u) f(e)`` of a along
-    f, and edge values are ``h(e) = h(origin) f(e)``.
+    f, and edge values are ``h(e) = h(origin) f(e)``.  Raises
+    UnbalancedLabelingError when f is not balanced.
     """
     if group.mul(a, a) != group.identity:
         raise ValueError(f"element {a} is not an involution")
     _require_edge_shape(d, f, FLEXIBLE)
     _connected_report(d)
     _check_base(d, base)
-    mul, inv = group.mul, group.inv
-
-    def step(hu, e, backwards):
-        x = f.values[e]
-        if backwards:
-            x = inv(x)
-        return mul(mul(inv(x), hu), x)
-
-    values = _propagate_vertex_values(group, d, base, a, step)
-    edge_values = tuple(mul(values[u], f.values[e]) for e, (u, w) in enumerate(d.edges))
-    return FullLabeling(tuple(values), edge_values, FLEXIBLE)
+    p = _tree_potential(group, d, _spanning_tree(d, base), f.values)
+    return _full_flexible(group, d, a, p, f.values, None)
 
 
 def full_to_pair(group: FiniteGroup, d: Digraph, h: FullLabeling, base: int = 0) -> tuple[int, EdgeLabeling]:
@@ -333,41 +351,63 @@ def _check_base(d: Digraph, base: int) -> None:
 # ---------------------------------------------------------- enumeration
 
 
-def _rigid_frame(d: Digraph, report: StructureReport):
-    """Free coordinates of balanced rigid edge labelings: non-base vertices
-    (base = smallest vertex of each strongly connected component) and
-    cross-component edges."""
-    comp = report.scc_assignment
-    base_of: dict[int, int] = {}
-    for v in range(d.n_vertices):
-        base_of.setdefault(comp[v], v)
-    free_vertices = [v for v in range(d.n_vertices) if base_of[comp[v]] != v]
-    cross_edges = [e for e, (u, w) in enumerate(d.edges) if comp[u] != comp[w]]
-    return comp, free_vertices, cross_edges
+class _Frame:
+    """The free coordinates of one instance's balanced labelings.
 
+    ``radices`` has one entry per coordinate, in enumeration order (see the
+    module docstring), and their product is ``count.value``; ``decode``
+    maps a coordinate vector, each entry below its radix, to its labeling.
+    """
 
-def _rigid_labeling_from_coords(group, d, comp, free_vertices, cross_edges, coords) -> EdgeLabeling:
-    mul, inv = group.mul, group.inv
-    potential = [group.identity] * d.n_vertices
-    for v, x in zip(free_vertices, coords):
-        potential[v] = x
-    cross_values = dict(zip(cross_edges, coords[len(free_vertices) :]))
-    values = []
-    for e, (u, w) in enumerate(d.edges):
-        if comp[u] == comp[w]:
-            values.append(mul(inv(potential[u]), potential[w]))
+    def __init__(self, group: FiniteGroup, d: Digraph, target: str, mode: str):
+        report = _connected_report(d)
+        self.count = _closed_form(group, d.n_vertices, report, target, mode)
+        self.radices = (len(group.involutions()),) * self.count.s + (group.order,) * self.count.t
+        self._group, self._d, self._target, self._mode = group, d, target, mode
+        n = d.n_vertices
+        # Coordinates ahead of the potential: none for edge labelings, the
+        # vertex values for rigid full ones, the base element a otherwise.
+        if target == EDGES:
+            self._lead = 0
+        elif mode == RIGID:
+            self._lead = n
         else:
-            values.append(cross_values[e])
-    return EdgeLabeling(tuple(values), RIGID)
+            self._lead = 1
+            self._heads = sorted(group.involutions()) if self.count.s else range(group.order)
+            self._odd = _odd_depth(n, _spanning_tree(d, 0)) if report.bipartite else None
+        # A part is the whole graph (flexible) or one strongly connected
+        # component (rigid).  Decoding reads the coordinate vector with the
+        # identity appended at slot ``k``: the smallest vertex of each part
+        # reads that identity as its potential, the other vertices read the
+        # next coordinates, and each cross-part edge reads its own coordinate
+        # x as the "potential difference" identity^-1 x.
+        part = report.scc_assignment if mode == RIGID else (0,) * n
+        k = len(self.radices)
+        slots = iter(range(self._lead, k))
+        seen: set[int] = set()
+        p = self._potential_slots = []
+        for v in range(n):
+            p.append(next(slots) if part[v] in seen else k)
+            seen.add(part[v])
+        self._origin_slots, self._endpoint_slots = [], []
+        for u, w in d.edges:
+            inside = part[u] == part[w]
+            self._origin_slots.append(p[u] if inside else k)
+            self._endpoint_slots.append(p[w] if inside else next(slots))
+        # over[a][b] = a^-1 b
+        self._over = [group.table[group.inverse[a]] for a in range(group.order)]
 
-
-def rigid_edge_enumerator(group: FiniteGroup, d: Digraph) -> Iterator[EdgeLabeling]:
-    """All balanced rigid edge labelings, lexicographic in the free coords."""
-    report = _connected_report(d)
-    comp, free_vertices, cross_edges = _rigid_frame(d, report)
-    width = len(free_vertices) + len(cross_edges)
-    for coords in product(range(group.order), repeat=width):
-        yield _rigid_labeling_from_coords(group, d, comp, free_vertices, cross_edges, coords)
+    def decode(self, coords) -> EdgeLabeling | FullLabeling:
+        x = (*coords, self._group.identity)
+        over = self._over
+        f = tuple([over[x[i]][x[j]] for i, j in zip(self._origin_slots, self._endpoint_slots)])
+        if self._target == EDGES:
+            return EdgeLabeling(f, self._mode)
+        if self._mode == RIGID:
+            h = x[: self._lead]
+            return FullLabeling(h, tuple([over[h[u]][y] for (u, _), y in zip(self._d.edges, f)]), RIGID)
+        p = [x[i] for i in self._potential_slots]
+        return _full_flexible(self._group, self._d, self._heads[x[0]], p, f, self._odd)
 
 
 def enumerate_all(group: FiniteGroup, d: Digraph, target: str, mode: str) -> Iterator[EdgeLabeling | FullLabeling]:
@@ -378,38 +418,9 @@ def enumerate_all(group: FiniteGroup, d: Digraph, target: str, mode: str) -> Ite
     """
     _check_target(target)
     _check_mode(mode)
-    report = _connected_report(d)
-    order = group.order
-    n = d.n_vertices
-
-    if mode == FLEXIBLE:
-        if target == EDGES:
-            for coords in product(range(order), repeat=n - 1):
-                p = Potential((group.identity,) + coords, 0)
-                yield potential_to_edges(group, d, p)
-            return
-        if report.bipartite:
-            heads: list[int] = list(range(order))
-            extend = pair_to_full_bipartite
-        else:
-            heads = sorted(group.involutions())
-            extend = pair_to_full_odd
-        for a in heads:
-            for coords in product(range(order), repeat=n - 1):
-                p = Potential((group.identity,) + coords, 0)
-                f = potential_to_edges(group, d, p)
-                yield extend(group, d, a, f, 0)
-        return
-
-    if target == EDGES:
-        yield from rigid_edge_enumerator(group, d)
-        return
-    comp, free_vertices, cross_edges = _rigid_frame(d, report)
-    width = len(free_vertices) + len(cross_edges)
-    for vertex_values in product(range(order), repeat=n):
-        for coords in product(range(order), repeat=width):
-            f = _rigid_labeling_from_coords(group, d, comp, free_vertices, cross_edges, coords)
-            yield pair_to_full_rigid(group, d, vertex_values, f)
+    frame = _Frame(group, d, target, mode)
+    for coords in product(*map(range, frame.radices)):
+        yield frame.decode(coords)
 
 
 def sample_uniform(
@@ -419,38 +430,11 @@ def sample_uniform(
 
     Randomness comes from ``random.Random(seed)`` alone; the free
     coordinates are drawn in enumeration order with ``randrange``, then
-    pushed through the same bijections, so a given seed yields the same
-    labeling everywhere.
+    decoded as in the stream, so a given seed yields the same labeling
+    everywhere.
     """
     _check_target(target)
     _check_mode(mode)
-    report = _connected_report(d)
+    frame = _Frame(group, d, target, mode)
     rng = random.Random(seed)
-    order = group.order
-    n = d.n_vertices
-
-    def draw(k: int) -> tuple[int, ...]:
-        return tuple(rng.randrange(order) for _ in range(k))
-
-    if mode == FLEXIBLE:
-        if target == EDGES:
-            p = Potential((group.identity,) + draw(n - 1), 0)
-            return potential_to_edges(group, d, p)
-        if report.bipartite:
-            a = rng.randrange(order)
-            extend = pair_to_full_bipartite
-        else:
-            involutions = sorted(group.involutions())
-            a = involutions[rng.randrange(len(involutions))]
-            extend = pair_to_full_odd
-        p = Potential((group.identity,) + draw(n - 1), 0)
-        return extend(group, d, a, potential_to_edges(group, d, p), 0)
-
-    comp, free_vertices, cross_edges = _rigid_frame(d, report)
-    if target == EDGES:
-        coords = draw(len(free_vertices) + len(cross_edges))
-        return _rigid_labeling_from_coords(group, d, comp, free_vertices, cross_edges, coords)
-    vertex_values = draw(n)
-    coords = draw(len(free_vertices) + len(cross_edges))
-    f = _rigid_labeling_from_coords(group, d, comp, free_vertices, cross_edges, coords)
-    return pair_to_full_rigid(group, d, vertex_values, f)
+    return frame.decode([rng.randrange(r) for r in frame.radices])

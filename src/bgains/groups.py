@@ -7,8 +7,8 @@ tuple of ints, and every group operation is a table lookup.
 
 Groups are built from spec strings::
 
-    cyclic:n                 Z_n, n >= 1
-    dihedral:n               D_n of order 2n, n >= 3
+    cyclic:n                 Z_n, 1 <= n <= 1024
+    dihedral:n               D_n of order 2n, 3 <= n <= 512
     symmetric:n              S_n, 1 <= n <= 5, elements in lexicographic
                              one-line order
     quaternion:8             the quaternion group {1,-1,i,-i,j,-j,k,-k}
@@ -47,8 +47,9 @@ __all__ = [
 # files are always fully validated.
 _BUILTIN_ASSOCIATIVITY_LIMIT = 200
 
-# Direct products materialize an order^2 table; keep that desk-sized.
-_PRODUCT_ORDER_LIMIT = 1024
+# Cyclic, dihedral and product groups materialize an order^2 table; keep
+# that desk-sized.
+_ORDER_LIMIT = 1024
 
 
 class GroupSpecError(ValueError):
@@ -212,9 +213,15 @@ def _finalize(name, table, names, *, renumber=True, force_full_check=False) -> F
     )
 
 
+def _check_order(kind: str, order: int) -> None:
+    if order > _ORDER_LIMIT:
+        raise GroupSpecError(f"{kind} order {order} exceeds the supported limit {_ORDER_LIMIT}")
+
+
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupSpecError(f"cyclic:n requires n >= 1, got {n}")
+    _check_order("cyclic", n)
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     return _finalize(f"cyclic:{n}", table, tuple(str(i) for i in range(n)))
 
@@ -223,6 +230,7 @@ def dihedral_group(n: int) -> FiniteGroup:
     """D_n of order 2n: indices 0..n-1 are rotations r^k, n..2n-1 reflections s*r^k."""
     if n < 3:
         raise GroupSpecError(f"dihedral:n requires n >= 3, got {n}")
+    _check_order("dihedral", 2 * n)
 
     # Element k is x -> x+k on Z_n, element n+k is x -> -x+k; composition of maps.
     def compose(a: int, b: int) -> int:
@@ -275,11 +283,7 @@ def quaternion_group() -> FiniteGroup:
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    order = g.order * h.order
-    if order > _PRODUCT_ORDER_LIMIT:
-        raise GroupSpecError(
-            f"product order {order} exceeds the supported limit {_PRODUCT_ORDER_LIMIT}"
-        )
+    _check_order("product", g.order * h.order)
     nh = h.order
     table = tuple(
         tuple(g.table[a1][b1] * nh + h.table[a2][b2] for b1 in range(g.order) for b2 in range(nh))

@@ -238,6 +238,16 @@ def test_counts_beyond_the_int_to_str_limit(run, long_path):
     assert out == f"# truncated: 0 of {digits} labelings shown\n"
 
 
+def test_verify_budget_beyond_the_int_to_str_limit(run, long_path):
+    graph, digits = long_path
+    code, out, err = run(
+        "verify", graph, "--group", "cyclic:6", "--target", "edges", "--mode", "flexible",
+        "--budget", "10",
+    )
+    assert (code, err) == (EXIT_BUDGET, "")
+    assert out == f"BUDGET: instance requires {digits} candidates, budget is 10\n"
+
+
 def test_enumerate_into_closed_pipe_is_quiet():
     cmd = [
         sys.executable, "-m", "bgains", "enumerate", THETA,

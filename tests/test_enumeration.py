@@ -34,9 +34,9 @@ from bgains.enumeration import (
     pair_to_full_odd,
     pair_to_full_rigid,
     potential_to_edges,
-    rigid_edge_enumerator,
     sample_uniform,
 )
+from bgains import enumeration
 from bgains.groups import make_group
 
 from conftest import random_connected_digraph
@@ -175,6 +175,19 @@ def test_pair_to_full_odd_matches_conjugation_construction(triangle):
     assert is_balanced_full(g, triangle, got)
 
 
+def test_pair_to_full_rejects_unbalanced_edge_labelings(triangle, cycle4):
+    c3 = make_group("cyclic:3")
+    with pytest.raises(UnbalancedLabelingError):
+        pair_to_full_bipartite(c3, cycle4, 0, EdgeLabeling((1, 0, 0, 0)))
+    with pytest.raises(UnbalancedLabelingError):
+        pair_to_full_odd(c3, triangle, 0, EdgeLabeling((1, 0, 0)))
+
+
+def test_pair_to_full_bipartite_rejects_odd_graphs(triangle):
+    with pytest.raises(UnbalancedLabelingError, match="bipartite"):
+        pair_to_full_bipartite(make_group("cyclic:2"), triangle, 1, EdgeLabeling((0, 0, 0)))
+
+
 def test_pair_to_full_odd_rejects_non_involution(triangle):
     g = make_group("cyclic:3")
     with pytest.raises(ValueError, match="involution"):
@@ -225,7 +238,7 @@ def test_rigid_pair_roundtrip_random(seed):
     rng = random.Random(seed)
     d = random_connected_digraph(rng, max_vertices=4, max_edges=5, max_walks=4000)
     g = make_group(rng.choice(["cyclic:3", "symmetric:3", "dihedral:3"]))
-    labelings = list(itertools.islice(rigid_edge_enumerator(g, d), 50))
+    labelings = list(itertools.islice(enumerate_all(g, d, EDGES, RIGID), 50))
     f = labelings[rng.randrange(len(labelings))]
     vv = tuple(rng.randrange(g.order) for _ in range(d.n_vertices))
     h = pair_to_full_rigid(g, d, vv, f)
@@ -246,16 +259,16 @@ def test_rigid_mode_mismatch(path2):
 # --------------------------------------------------------- enumeration
 
 
-def test_rigid_edge_enumerator_examples(path2, triangle, theta):
+def test_enumerate_rigid_edges_examples(path2, triangle, theta):
     c2 = make_group("cyclic:2")
     # single cross edge: both values free
-    labs = list(rigid_edge_enumerator(c2, path2))
-    assert [f.values for f in labs] == [(0,), (1,)]
+    labs = list(enumerate_all(c2, path2, EDGES, RIGID))
+    assert labs == [EdgeLabeling((0,), RIGID), EdgeLabeling((1,), RIGID)]
     # strongly connected triangle: potential-induced, 4 labelings
-    labs = list(rigid_edge_enumerator(c2, triangle))
+    labs = list(enumerate_all(c2, triangle, EDGES, RIGID))
     assert len(labs) == 4
     assert all(is_balanced_edges(c2, triangle, f) for f in labs)
-    labs = list(rigid_edge_enumerator(c2, theta))
+    labs = list(enumerate_all(c2, theta, EDGES, RIGID))
     assert len(labs) == 8 == count(c2, theta, EDGES, RIGID).value
     assert all(is_balanced_edges(c2, theta, f) for f in labs)
 
@@ -313,6 +326,22 @@ def test_enumerated_full_labelings_conjugate_structure(triangle):
         assert g.mul(a, a) == g.identity
         for hv in h.vertex_values:
             assert any(g.conj(a, c) == hv for c in range(g.order))
+
+
+@pytest.mark.parametrize("target, mode", [(EDGES, FLEXIBLE), (EDGES, RIGID), (FULL, FLEXIBLE), (FULL, RIGID)])
+def test_stream_and_sample_analyze_the_graph_once(monkeypatch, triangle, target, mode):
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return analyze(d)
+
+    monkeypatch.setattr(enumeration, "analyze", counted)
+    g = make_group("cyclic:2")
+    assert len(list(enumerate_all(g, triangle, target, mode))) > 1
+    assert len(calls) == 1
+    sample_uniform(g, triangle, target, mode, seed=3)
+    assert len(calls) == 2
 
 
 # ------------------------------------------------------------ sampling

@@ -1,6 +1,7 @@
 """Group construction, arithmetic and table validation."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -79,6 +80,22 @@ def test_orders(spec, order):
 def test_bad_specs(spec):
     with pytest.raises(GroupSpecError):
         make_group(spec)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:1025", "dihedral:513"])
+def test_order_limit_applies_before_the_table_is_built(spec):
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupSpecError, match="exceeds the supported limit 1024"):
+            make_group(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_order_limit_is_inclusive():
+    assert make_group("cyclic:1024").order == 1024
 
 
 def test_mul_cyclic():
