@@ -1,17 +1,9 @@
-import random
-from pathlib import Path
-
 import pytest
 
-from bgains.balance import FLEXIBLE, all_closed_walks
-from bgains.digraph import Digraph, analyze, load_graph
+from bgains.digraph import load_graph
 from bgains.groups import make_group
 
-DATA = Path(__file__).parent / "data"
-
-
-def data_text(name: str) -> str:
-    return (DATA / name).read_text()
+from graph_helpers import data_text
 
 
 @pytest.fixture(scope="session")
@@ -38,35 +30,3 @@ def cycle4():
 @pytest.fixture(scope="session")
 def path2():
     return load_graph(data_text("path2.txt"))
-
-
-def _walk_family_fits(d: Digraph, cap: int) -> bool:
-    count = 0
-    for _ in all_closed_walks(d, FLEXIBLE):
-        count += 1
-        if count > cap:
-            return False
-    return True
-
-
-def random_connected_digraph(rng: random.Random, max_vertices=4, max_edges=5, bipartite=None, max_walks=20_000):
-    """Rejection-sample a small weakly connected digraph, optionally with a
-    required parity of the underlying undirected graph.
-
-    Loops and parallel edges piled on few vertices make the closed-walk
-    family factorial in the edge count, and every consumer of these graphs
-    checks balance by exhausting that family, so graphs above ``max_walks``
-    flexible walks are rejected as well.
-    """
-    while True:
-        n = rng.randint(1, max_vertices)
-        m = rng.randint(0, max_edges)
-        d = Digraph(n, tuple((rng.randrange(n), rng.randrange(n)) for _ in range(m)))
-        report = analyze(d)
-        if not report.weakly_connected:
-            continue
-        if bipartite is not None and report.bipartite != bipartite:
-            continue
-        if not _walk_family_fits(d, max_walks):
-            continue
-        return d

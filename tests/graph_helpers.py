@@ -1,0 +1,49 @@
+"""Helpers shared by the test modules: the data directory and small graphs.
+
+They live here, not in ``conftest.py``, because ``bench/tests`` has a
+``conftest.py`` too and both import under the one module name ``conftest``.
+"""
+
+import random
+from pathlib import Path
+
+from bgains.balance import FLEXIBLE, all_closed_walks
+from bgains.digraph import Digraph, analyze
+
+DATA = Path(__file__).parent / "data"
+
+
+def data_text(name: str) -> str:
+    return (DATA / name).read_text()
+
+
+def _walk_family_fits(d: Digraph, cap: int) -> bool:
+    count = 0
+    for _ in all_closed_walks(d, FLEXIBLE):
+        count += 1
+        if count > cap:
+            return False
+    return True
+
+
+def random_connected_digraph(rng: random.Random, max_vertices=4, max_edges=5, bipartite=None, max_walks=20_000):
+    """Rejection-sample a small weakly connected digraph, optionally with a
+    required parity of the underlying undirected graph.
+
+    Loops and parallel edges piled on few vertices make the closed-walk
+    family factorial in the edge count, and every consumer of these graphs
+    checks balance by exhausting that family, so graphs above ``max_walks``
+    flexible walks are rejected as well.
+    """
+    while True:
+        n = rng.randint(1, max_vertices)
+        m = rng.randint(0, max_edges)
+        d = Digraph(n, tuple((rng.randrange(n), rng.randrange(n)) for _ in range(m)))
+        report = analyze(d)
+        if not report.weakly_connected:
+            continue
+        if bipartite is not None and report.bipartite != bipartite:
+            continue
+        if not _walk_family_fits(d, max_walks):
+            continue
+        return d

@@ -44,7 +44,7 @@ from bgains.enumeration import (
 )
 from bgains.groups import make_group
 
-from conftest import DATA, random_connected_digraph
+from graph_helpers import DATA, random_connected_digraph
 from test_groups import assert_is_group_slow
 
 COMBOS = tuple((target, mode) for target in (EDGES, FULL) for mode in (FLEXIBLE, RIGID))

@@ -33,7 +33,7 @@ from bgains.digraph import Digraph, iter_connected_multigraphs, load_graph
 from bgains.enumeration import enumerate_all
 from bgains.groups import make_group
 
-from conftest import DATA, random_connected_digraph
+from graph_helpers import DATA, random_connected_digraph
 
 
 def canon(walk):

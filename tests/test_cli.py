@@ -13,7 +13,7 @@ from bgains.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from bgains.digraph import analyze
 from bgains.groups import make_group
 
-from conftest import DATA
+from graph_helpers import DATA
 
 THETA = str(DATA / "theta.txt")
 TRIANGLE = str(DATA / "triangle.txt")

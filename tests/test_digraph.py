@@ -15,7 +15,7 @@ from bgains.digraph import (
     load_graph,
 )
 
-from conftest import data_text
+from graph_helpers import data_text
 
 
 def test_load_single_vertex():

@@ -39,7 +39,7 @@ from bgains.enumeration import (
 from bgains import enumeration
 from bgains.groups import make_group
 
-from conftest import random_connected_digraph
+from graph_helpers import random_connected_digraph
 
 
 def key(lab):

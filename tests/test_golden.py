@@ -22,7 +22,7 @@ from bgains.digraph import load_graph
 from bgains.enumeration import count, enumerate_all, sample_uniform
 from bgains.groups import make_group
 
-from conftest import DATA
+from graph_helpers import DATA
 
 GOLDEN = DATA / "golden.json"
 GROUPS = ("cyclic:2", "cyclic:3", "symmetric:3")
