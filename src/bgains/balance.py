@@ -18,9 +18,10 @@ closed walk, a backwards use of ``e`` contributing ``h(e)^-1``.
 
 Rotating a closed walk conjugates the product, so balance is checked once
 per cyclic class: ``all_closed_walks`` emits each class exactly once, at a
-canonical starting point.  Reversals are *not* identified: for full
-labelings the two orientations of a walk are genuinely different
-constraints.
+canonical starting point, from a depth-first search that keeps its own
+stack rather than recursing once per step.  Reversals are *not*
+identified: for full labelings the two orientations of a walk are
+genuinely different constraints.
 
 The brute-force functions enumerate every candidate labeling (all
 ``order**slots`` of them) and keep those that pass every walk.  They are
@@ -216,77 +217,70 @@ def _fold_full(group: FiniteGroup, vertex_values, edge_values, walk: ClosedWalk)
     return acc
 
 
-def all_closed_walks(d: Digraph, mode: str = FLEXIBLE, base: int | None = None) -> Iterator[ClosedWalk]:
+def all_closed_walks(d: Digraph, mode: str = FLEXIBLE) -> Iterator[ClosedWalk]:
     """Every closed walk of the digraph, one representative per cyclic class.
 
     The representative starts at the smallest (vertex, edge id, reverse)
     step of the walk, so each class appears exactly once and the stream is
-    deterministic.  With ``base`` given, only walks visiting ``base`` are
-    produced, rotated to start there (smallest step at ``base`` first).
-    Walk lengths are bounded by the number of distinct edge uses: |E| in
-    rigid mode, 2|E| in flexible mode.
+    deterministic.  Walk lengths are bounded by the number of distinct edge
+    uses: |E| in rigid mode, 2|E| in flexible mode.  The depth-first search
+    keeps its own stack, so walk length is not limited by Python recursion.
     """
     _check_mode(mode)
-    if base is not None and not 0 <= base < d.n_vertices:
-        raise ValueError(f"base vertex {base} out of range")
-
+    flexible = mode == FLEXIBLE
     # use id: edge under rigid; 2*edge + reverse under flexible
     out: list[list[tuple[tuple[int, int, bool], int, int, EdgeUse]]] = [
         [] for _ in range(d.n_vertices)
     ]
-    n_uses = 0
     for e, (u, w) in enumerate(d.edges):
-        if mode == FLEXIBLE:
+        if flexible:
             out[u].append(((u, e, False), 2 * e, w, EdgeUse(e, False)))
             out[w].append(((w, e, True), 2 * e + 1, u, EdgeUse(e, True)))
-            n_uses = 2 * d.n_edges
         else:
             out[u].append(((u, e, False), e, w, EdgeUse(e, False)))
-            n_uses = d.n_edges
     for lst in out:
         lst.sort()
 
-    used = bytearray(n_uses)
+    used = bytearray(2 * d.n_edges if flexible else d.n_edges)
     vseq: list[int] = []
     steps: list[EdgeUse] = []
-
-    def extend(cur: int, start: int, first_key) -> Iterator[ClosedWalk]:
-        for key, uid, target, use in out[cur]:
-            if used[uid]:
-                continue
-            # Canonical-start pruning: a smaller step at a rotation point
-            # means this linearization (and every extension, which keeps
-            # the step) is some other rotation's job.
-            if base is None:
-                if key < first_key:
+    uids: list[int] = []
+    for start in range(d.n_vertices):
+        for first in out[start]:
+            first_key = first[0]
+            cur = start
+            # One iterator per vertex of the walk so far, over the steps
+            # that may leave it; the bottom one yields only the first step.
+            stack = [iter((first,))]
+            while stack:
+                for key, uid, target, use in stack[-1]:
+                    # Canonical-start pruning: a step smaller than the first
+                    # means this linearization (and every extension, which
+                    # keeps the step) is some other rotation's job.
+                    if not used[uid] and key >= first_key:
+                        break
+                else:
+                    stack.pop()
+                    if uids:
+                        used[uids.pop()] = 0
+                        cur = vseq.pop()
+                        steps.pop()
                     continue
-            elif cur == base and key < first_key:
-                continue
-            used[uid] = 1
-            vseq.append(cur)
-            steps.append(use)
-            if target == start:
-                yield ClosedWalk(tuple(vseq), tuple(steps))
-            yield from extend(target, start, first_key)
-            used[uid] = 0
-            vseq.pop()
-            steps.pop()
-
-    starts = range(d.n_vertices) if base is None else (base,)
-    for start in starts:
-        for key, uid, target, use in out[start]:
-            used[uid] = 1
-            vseq.append(start)
-            steps.append(use)
-            if target == start:
-                yield ClosedWalk(tuple(vseq), tuple(steps))
-            yield from extend(target, start, key)
-            used[uid] = 0
-            vseq.pop()
-            steps.pop()
+                used[uid] = 1
+                uids.append(uid)
+                vseq.append(cur)
+                steps.append(use)
+                if target == start:
+                    yield ClosedWalk(tuple(vseq), tuple(steps))
+                cur = target
+                stack.append(iter(out[target]))
 
 
-@lru_cache(maxsize=512)
+# A walk family can be factorial in the edge count, so only two are kept:
+# the callers that repeat a graph run its four (target, mode) cases back to
+# back (scripts/verify_grid.py, the acceptance sweep), which needs the
+# graph's flexible and rigid families and no other.
+@lru_cache(maxsize=2)
 def _walks_by_length(d: Digraph, mode: str) -> tuple[ClosedWalk, ...]:
     """Materialized walk family sorted shortest-first (cheapest pruning first)."""
     return tuple(sorted(all_closed_walks(d, mode), key=len))

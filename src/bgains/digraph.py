@@ -15,7 +15,7 @@ Graph file format::
     0 1           one edge per line: origin endpoint
     2 3
 
-Edge ids follow file order.
+Edge ids follow file order.  A file may name at most 1,000,000 vertices.
 """
 
 from __future__ import annotations
@@ -84,6 +84,10 @@ class StructureReport:
 
 _N_LINE = re.compile(r"^n\s*=\s*(\d+)$")
 
+# analyze and the enumerators allocate per-vertex structures, so a file
+# naming a huge vertex count would exhaust memory before any other check.
+_VERTEX_LIMIT = 1_000_000
+
 
 def load_graph(text: str) -> Digraph:
     """Parse graph file text (see module docstring for the format)."""
@@ -101,6 +105,10 @@ def load_graph(text: str) -> Digraph:
                     f"line {lineno}: n= is only allowed as the first significant line"
                 )
             n_declared = int(m.group(1))
+            if n_declared > _VERTEX_LIMIT:
+                raise GraphFormatError(
+                    f"line {lineno}: n={n_declared} exceeds the limit of {_VERTEX_LIMIT} vertices"
+                )
             seen_significant = True
             continue
         seen_significant = True
@@ -119,6 +127,10 @@ def load_graph(text: str) -> Digraph:
             raise GraphFormatError(
                 f"line {lineno}: vertex index {max(u, w)} out of range for n={n_declared}"
             )
+        if max(u, w) >= _VERTEX_LIMIT:
+            raise GraphFormatError(
+                f"line {lineno}: vertex index {max(u, w)} exceeds the limit of {_VERTEX_LIMIT} vertices"
+            )
         edges.append((u, w))
     if n_declared is None:
         if not edges:
@@ -127,46 +139,30 @@ def load_graph(text: str) -> Digraph:
     return Digraph(n_declared, tuple(edges))
 
 
-def _undirected_neighbors(d: Digraph) -> list[set[int]]:
-    nbrs: list[set[int]] = [set() for _ in range(d.n_vertices)]
+def _depth_parity(d: Digraph) -> tuple[list[int], int]:
+    """Breadth-first search of the underlying undirected graph, restarted
+    at each unvisited vertex: each vertex's depth parity, and the number of
+    searches (one per weak component)."""
+    nbrs: list[list[int]] = [[] for _ in range(d.n_vertices)]
     for u, w in d.edges:
-        nbrs[u].add(w)
-        nbrs[w].add(u)
-    return nbrs
-
-
-def _is_weakly_connected(d: Digraph, nbrs: list[set[int]]) -> bool:
-    if d.n_vertices <= 1:
-        return True
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in nbrs[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == d.n_vertices
-
-
-def _is_bipartite(d: Digraph, nbrs: list[set[int]]) -> bool:
-    if any(u == w for u, w in d.edges):
-        return False  # a loop is an odd closed walk
-    color = [-1] * d.n_vertices
-    for start in range(d.n_vertices):
-        if color[start] != -1:
+        nbrs[u].append(w)
+        nbrs[w].append(u)
+    parity = [-1] * d.n_vertices
+    searches = 0
+    for root in range(d.n_vertices):
+        if parity[root] != -1:
             continue
-        color[start] = 0
-        queue = deque([start])
+        searches += 1
+        parity[root] = 0
+        queue = deque([root])
         while queue:
             v = queue.popleft()
+            p = 1 - parity[v]
             for w in nbrs[v]:
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
+                if parity[w] == -1:
+                    parity[w] = p
                     queue.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
+    return parity, searches
 
 
 def _strong_components(d: Digraph) -> list[int]:
@@ -236,12 +232,14 @@ def analyze(d: Digraph) -> StructureReport:
     Deterministic and independent of edge order; loops make the graph
     non-bipartite.
     """
-    nbrs = _undirected_neighbors(d)
+    parity, searches = _depth_parity(d)
     comp = _strong_components(d)
     cross = sum(1 for u, w in d.edges if comp[u] != comp[w])
     return StructureReport(
-        weakly_connected=_is_weakly_connected(d, nbrs),
-        bipartite=_is_bipartite(d, nbrs),
+        weakly_connected=searches <= 1,
+        # BFS depths of adjacent vertices differ by at most one, so an edge
+        # within one parity class (a loop included) closes an odd cycle.
+        bipartite=all(parity[u] != parity[w] for u, w in d.edges),
         scc_count=len(set(comp)),
         cross_scc_edges=cross,
         scc_assignment=tuple(comp),

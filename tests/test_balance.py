@@ -95,16 +95,6 @@ def test_walks_match_naive_reference():
             assert set(canons) == naive_walks(d, mode)
 
 
-def test_walks_from_base(theta):
-    for mode in (FLEXIBLE, RIGID):
-        everything = list(all_closed_walks(theta, mode))
-        for b in range(4):
-            based = list(all_closed_walks(theta, mode, base=b))
-            assert all(w.vertices[0] == b for w in based)
-            expected = {canon(w) for w in everything if b in w.vertices}
-            assert {canon(w) for w in based} == expected
-
-
 def test_theta_rigid_walks_miss_one_of_the_far_vertices(theta):
     walks = list(all_closed_walks(theta, RIGID))
     assert len(walks) == 2
@@ -119,12 +109,27 @@ def test_walk_lengths_bounded():
     assert all(len(w) <= d.n_edges for w in all_closed_walks(d, RIGID))
 
 
-def test_bad_mode_and_base():
+def test_bad_mode():
     d = Digraph(1, ((0, 0),))
     with pytest.raises(ValueError, match="mode"):
         list(all_closed_walks(d, "loose"))
-    with pytest.raises(ValueError, match="base"):
-        list(all_closed_walks(d, FLEXIBLE, base=5))
+
+
+def test_long_cycle_walk_is_not_limited_by_recursion():
+    n = 1200
+    cycle = Digraph(n, tuple((v, (v + 1) % n) for v in range(n)))
+    g = make_group("cyclic:3")
+    assert len(list(all_closed_walks(cycle, RIGID))) == 1
+    assert is_balanced_edges(g, cycle, EdgeLabeling((0,) * n, RIGID))
+    assert not is_balanced_edges(g, cycle, EdgeLabeling((1,) + (0,) * (n - 1), RIGID))
+
+
+def test_walk_cache_holds_two_families(triangle, theta, cycle4):
+    g = make_group("cyclic:2")
+    balance._walks_by_length.cache_clear()
+    for d in (triangle, theta, cycle4):
+        brute_force_count(g, d, EDGES, RIGID)
+    assert balance._walks_by_length.cache_info().currsize <= 2
 
 
 # ------------------------------------------------------- walk products

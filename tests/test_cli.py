@@ -62,6 +62,14 @@ def test_analyze_parse_error_carries_line_number(run, tmp_path):
     assert "line 3" in err
 
 
+def test_analyze_rejects_too_many_vertices(run, tmp_path):
+    huge = tmp_path / "huge.txt"
+    huge.write_text("n=1000001\n0 1\n")
+    code, out, err = run("analyze", str(huge))
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error:") and "limit" in err
+
+
 def test_analyze_missing_file(run):
     code, _, err = run("analyze", str(DATA / "no-such-graph.txt"))
     assert code == EXIT_USAGE

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,11 +51,18 @@ def test_load_theta():
         ("0 1\nn=3\n", "first significant line"),
         ("", "vertex count is undefined"),
         ("-1 0\n", "nonnegative"),
+        ("n=1000001\n", "exceeds the limit"),
+        ("0 1000000\n", "exceeds the limit"),
     ],
 )
 def test_load_errors(text, fragment):
     with pytest.raises(GraphFormatError, match=fragment):
         load_graph(text)
+
+
+def test_load_at_vertex_limit():
+    assert load_graph("n=1000000\n").n_vertices == 1_000_000
+    assert load_graph("0 999999\n").n_vertices == 1_000_000
 
 
 def test_edge_ids_follow_file_order():
@@ -179,6 +187,28 @@ def test_scc_assignment_normalized(d):
         if c not in seen:
             seen.append(c)
     assert seen == list(range(len(seen)))
+
+
+@given(small_digraphs(max_vertices=40, max_edges=60))
+@settings(max_examples=200, deadline=None)
+def test_analyze_matches_networkx(d):
+    r = analyze(d)
+    undirected, directed = nx.MultiGraph(), nx.MultiDiGraph()
+    for g in (undirected, directed):
+        g.add_nodes_from(range(d.n_vertices))
+        g.add_edges_from(d.edges)
+    sccs = list(nx.strongly_connected_components(directed))
+    comp_of = {v: i for i, scc in enumerate(sccs) for v in scc}
+
+    assert r.weakly_connected == nx.is_connected(undirected)
+    loopless = all(u != w for u, w in d.edges)
+    assert r.bipartite == (loopless and nx.is_bipartite(undirected))
+    assert r.scc_count == len(sccs)
+    assert r.cross_scc_edges == sum(comp_of[u] != comp_of[w] for u, w in d.edges)
+    members = {}
+    for v, c in enumerate(r.scc_assignment):
+        members.setdefault(c, set()).add(v)
+    assert sorted(map(sorted, members.values())) == sorted(map(sorted, sccs))
 
 
 def test_iter_connected_multigraphs_small():
