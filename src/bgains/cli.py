@@ -23,6 +23,7 @@ import decimal
 import json
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .balance import (
@@ -37,6 +38,7 @@ from .balance import (
 )
 from .digraph import Digraph, GraphFormatError, analyze, load_graph
 from .enumeration import (
+    BLOCK_VALUES,
     NotWeaklyConnectedError,
     UnbalancedLabelingError,
     count,
@@ -64,16 +66,11 @@ def _load_graph_file(path: str) -> Digraph:
     return load_graph(Path(path).read_text())
 
 
-def _labeling_tokens(labeling, group: FiniteGroup, show_elements: bool) -> str:
-    """One output line: vertex values (full labelings only) then edge
-    values, space separated, as indices or element names."""
-    if isinstance(labeling, EdgeLabeling):
-        values = labeling.values
-    else:
-        values = labeling.vertex_values + labeling.edge_values
+def _tokens(group: FiniteGroup, show_elements: bool) -> tuple[str, ...]:
+    """How each element prints in a labeling line: its name, or its index."""
     if show_elements:
-        return " ".join(group.element_names[v] for v in values)
-    return " ".join(str(v) for v in values)
+        return group.element_names
+    return tuple(map(str, range(group.order)))
 
 
 def _decimal(n: int) -> str:
@@ -165,14 +162,16 @@ def cmd_enumerate(args) -> int:
         raise ValueError("--limit must be nonnegative")
     group = make_group(args.group)
     d = _load_graph_file(args.graph)
-    emitted = 0
-    for labeling in enumerate_all(group, d, args.target, args.mode):
-        if args.limit is not None and emitted >= args.limit:
-            total = count(group, d, args.target, args.mode).value
-            print(f"# truncated: {emitted} of {_decimal(total)} labelings shown")
-            break
-        print(_labeling_tokens(labeling, group, args.show_elements))
-        emitted += 1
+    lines = enumerate_all(group, d, args.target, args.mode, tokens=_tokens(group, args.show_elements))
+    shown = lines if args.limit is None else islice(lines, args.limit)
+    # One write per block's worth of values keeps the text in memory bounded.
+    width = d.n_edges + (d.n_vertices if args.target == FULL else 0)
+    per_write = max(1, BLOCK_VALUES // max(1, width))
+    while chunk := list(islice(shown, per_write)):
+        sys.stdout.write("\n".join(chunk) + "\n")
+    if args.limit is not None and next(lines, None) is not None:
+        total = count(group, d, args.target, args.mode).value
+        print(f"# truncated: {args.limit} of {_decimal(total)} labelings shown")
     return EXIT_OK
 
 
@@ -180,7 +179,12 @@ def cmd_sample(args) -> int:
     group = make_group(args.group)
     d = _load_graph_file(args.graph)
     labeling = sample_uniform(group, d, args.target, args.mode, args.seed)
-    print(_labeling_tokens(labeling, group, args.show_elements))
+    if isinstance(labeling, EdgeLabeling):
+        values = labeling.values
+    else:
+        values = labeling.vertex_values + labeling.edge_values
+    tokens = _tokens(group, args.show_elements)
+    print(" ".join(tokens[v] for v in values))
     return EXIT_OK
 
 

@@ -48,6 +48,21 @@ the coordinate vector, element index 0 first.  ``sample_uniform`` draws
 the same coordinates, in the same order, from ``random.Random(seed)``
 (Mersenne Twister, one ``randrange`` per radix), so samples are
 reproducible across platforms.
+
+Block decoding: the stream is decoded a block of labelings at a time, as a
+(rows, slots) array of element indices.  The trailing coordinates of a
+block run over one precomputed ``np.indices`` grid, as many as keep the
+block within ``BLOCK_VALUES`` values; the leading ones come from
+``itertools.product`` and are constant within a block, so blocks follow
+each other in the lexicographic order above (the mixed-radix order of
+Knuth, TAOCP 4A, 7.2.1.1).  Each bijection is a table gather over the
+block's coordinate columns: edge values are ``over[x[origin], x[endpoint]]``
+with ``over[a, b] = a^-1 b``; rigid full labelings gather once more
+through each edge's origin; flexible full labelings conjugate as
+``table[over[p, a], p] = p^-1 a p`` and, off bipartite graphs, gather once
+more through each edge's origin.  Decoding one coordinate vector, as
+``sample_uniform`` does, is the one-row case of the same gathers.  Memory
+is bounded by the block, whatever the length of the stream.
 """
 
 from __future__ import annotations
@@ -56,7 +71,9 @@ import random
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .balance import EDGES, FLEXIBLE, FULL, RIGID, EdgeLabeling, FullLabeling, _check_mode, _check_target
 from .digraph import Digraph, StructureReport, analyze
@@ -78,6 +95,11 @@ __all__ = [
     "potential_to_edges",
     "sample_uniform",
 ]
+
+# Values (rows times slots) in one decoded block of the stream: large enough
+# that numpy's per-call cost vanishes, small enough that a stream of any
+# length, or of labelings with thousands of slots, decodes in bounded memory.
+BLOCK_VALUES = 2**15
 
 
 class NotWeaklyConnectedError(ValueError):
@@ -355,16 +377,22 @@ class _Frame:
     """The free coordinates of one instance's balanced labelings.
 
     ``radices`` has one entry per coordinate, in enumeration order (see the
-    module docstring), and their product is ``count.value``; ``decode``
-    maps a coordinate vector, each entry below its radix, to its labeling.
+    module docstring), and their product is ``count.value``.  ``blocks``
+    decodes the whole stream as arrays of element indices, one row per
+    labeling and ``slots`` values per row; ``decode`` maps one coordinate
+    vector, each entry below its radix, to its labeling through the same
+    gathers.
     """
 
     def __init__(self, group: FiniteGroup, d: Digraph, target: str, mode: str):
         report = _connected_report(d)
         self.count = _closed_form(group, d.n_vertices, report, target, mode)
         self.radices = (len(group.involutions()),) * self.count.s + (group.order,) * self.count.t
-        self._group, self._d, self._target, self._mode = group, d, target, mode
-        n = d.n_vertices
+        self._group, self._target, self._mode = group, target, mode
+        n = self._n = d.n_vertices
+        self.slots = d.n_edges + (n if target == FULL else 0)
+        self._table, self._over = group.table_array, group.over_array
+        self._origins = np.array([u for u, _ in d.edges], dtype=np.intp)
         # Coordinates ahead of the potential: none for edge labelings, the
         # vertex values for rigid full ones, the base element a otherwise.
         if target == EDGES:
@@ -373,8 +401,10 @@ class _Frame:
             self._lead = n
         else:
             self._lead = 1
-            self._heads = sorted(group.involutions()) if self.count.s else range(group.order)
-            self._odd = _odd_depth(n, _spanning_tree(d, 0)) if report.bipartite else None
+            heads = sorted(group.involutions()) if self.count.s else range(group.order)
+            self._heads = np.array(heads, dtype=np.intp)
+            self._inverse = np.array(group.inverse, dtype=np.intp)
+            self._odd = np.array(_odd_depth(n, _spanning_tree(d, 0))) if report.bipartite else None
         # A part is the whole graph (flexible) or one strongly connected
         # component (rigid).  Decoding reads the coordinate vector with the
         # identity appended at slot ``k``: the smallest vertex of each part
@@ -385,42 +415,92 @@ class _Frame:
         k = len(self.radices)
         slots = iter(range(self._lead, k))
         seen: set[int] = set()
-        p = self._potential_slots = []
+        p = []
         for v in range(n):
             p.append(next(slots) if part[v] in seen else k)
             seen.add(part[v])
-        self._origin_slots, self._endpoint_slots = [], []
+        origin_slots, endpoint_slots = [], []
         for u, w in d.edges:
             inside = part[u] == part[w]
-            self._origin_slots.append(p[u] if inside else k)
-            self._endpoint_slots.append(p[w] if inside else next(slots))
-        # over[a][b] = a^-1 b
-        self._over = [group.table[group.inverse[a]] for a in range(group.order)]
+            origin_slots.append(p[u] if inside else k)
+            endpoint_slots.append(p[w] if inside else next(slots))
+        self._potential_slots = np.array(p, dtype=np.intp)
+        self._origin_slots = np.array(origin_slots, dtype=np.intp)
+        self._endpoint_slots = np.array(endpoint_slots, dtype=np.intp)
+
+    def _values(self, x: np.ndarray) -> np.ndarray:
+        """The labelings of the coordinate rows ``x`` (identity appended),
+        as a (rows, slots) array: vertex values, if any, then edge values."""
+        f = self._over[x[:, self._origin_slots], x[:, self._endpoint_slots]]
+        if self._target == EDGES:
+            return f
+        if self._mode == RIGID:
+            h = x[:, : self._lead]
+            return np.concatenate((h, self._over[h[:, self._origins], f]), axis=1)
+        a = self._heads[x[:, 0]][:, None]
+        if self._odd is not None:
+            a = np.where(self._odd, self._inverse[a], a)
+        p = x[:, self._potential_slots]
+        h = self._table[self._over[p, a], p]  # p^-1 a p
+        e = f if self._odd is not None else self._table[h[:, self._origins], f]
+        return np.concatenate((h, e), axis=1)
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The stream, in order, as (rows, slots) arrays.
+
+        The trailing coordinates of a block run over one fixed grid, as many
+        of them as keep a block within ``BLOCK_VALUES`` values (or at one
+        row); the leading ones are constant in a block and advance from
+        block to block.
+        """
+        radices, k = self.radices, len(self.radices)
+        rows, cut = 1, k
+        while cut and rows * radices[cut - 1] * max(self.slots, 1) <= BLOCK_VALUES:
+            cut -= 1
+            rows *= radices[cut]
+        x = np.empty((rows, k + 1), dtype=np.intp)
+        x[:, cut:k] = np.indices(radices[cut:]).reshape(k - cut, rows).T
+        x[:, k] = self._group.identity
+        for lead in product(*map(range, radices[:cut])):
+            x[:, :cut] = lead
+            yield self._values(x)
+
+    def labelings(self, values: np.ndarray) -> Iterator[EdgeLabeling | FullLabeling]:
+        """The labelings whose values are the rows of ``values``."""
+        mode, n = self._mode, self._n
+        if self._target == EDGES:
+            return (EdgeLabeling(tuple(row), mode) for row in values.tolist())
+        return (FullLabeling(tuple(row[:n]), tuple(row[n:]), mode) for row in values.tolist())
 
     def decode(self, coords) -> EdgeLabeling | FullLabeling:
-        x = (*coords, self._group.identity)
-        over = self._over
-        f = tuple([over[x[i]][x[j]] for i, j in zip(self._origin_slots, self._endpoint_slots)])
-        if self._target == EDGES:
-            return EdgeLabeling(f, self._mode)
-        if self._mode == RIGID:
-            h = x[: self._lead]
-            return FullLabeling(h, tuple([over[h[u]][y] for (u, _), y in zip(self._d.edges, f)]), RIGID)
-        p = [x[i] for i in self._potential_slots]
-        return _full_flexible(self._group, self._d, self._heads[x[0]], p, f, self._odd)
+        x = np.array([(*coords, self._group.identity)], dtype=np.intp)
+        return next(self.labelings(self._values(x)))
 
 
-def enumerate_all(group: FiniteGroup, d: Digraph, target: str, mode: str) -> Iterator[EdgeLabeling | FullLabeling]:
+def enumerate_all(
+    group: FiniteGroup, d: Digraph, target: str, mode: str, *, tokens: Sequence[str] | None = None
+) -> Iterator[EdgeLabeling | FullLabeling] | Iterator[str]:
     """Stream every balanced labeling exactly once.
 
     The stream is deterministic; see the module docstring for the
     coordinate order.  Its length always equals ``count(...).value``.
+
+    With ``tokens``, one string per group element, each item is instead
+    the labeling as one line of text: the tokens of its vertex values (full
+    labelings) and then of its edge values, joined by single spaces.
     """
     _check_target(target)
     _check_mode(mode)
     frame = _Frame(group, d, target, mode)
-    for coords in product(*map(range, frame.radices)):
-        yield frame.decode(coords)
+    if tokens is None:
+        for values in frame.blocks():
+            yield from frame.labelings(values)
+        return
+    if len(tokens) != group.order:
+        raise ValueError(f"{len(tokens)} tokens for a group of order {group.order}")
+    names = np.array(tokens, dtype=object)
+    for values in frame.blocks():
+        yield from map(" ".join, names[values].tolist())
 
 
 def sample_uniform(

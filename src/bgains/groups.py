@@ -14,7 +14,7 @@ Groups are built from spec strings::
     quaternion:8             the quaternion group {1,-1,i,-i,j,-j,k,-k}
     product:<spec>,<spec>    direct product (nests, e.g.
                              product:cyclic:2,product:cyclic:2,cyclic:2)
-    table:<path>             explicit Cayley table file
+    table:<path>             explicit Cayley table file, order <= 1024
 
 For every built-in constructor the identity ends up at index 0 (a
 renumbering pass runs after construction if needed).  Tables loaded from
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,8 +48,8 @@ __all__ = [
 # files are always fully validated.
 _BUILTIN_ASSOCIATIVITY_LIMIT = 200
 
-# Cyclic, dihedral and product groups materialize an order^2 table; keep
-# that desk-sized.
+# Every group materializes an order^2 table, and a table file is validated
+# in time cubic in its order; keep both desk-sized.
 _ORDER_LIMIT = 1024
 
 
@@ -94,6 +95,16 @@ class FiniteGroup:
         """b^-1 * a * b."""
         t = self.table
         return t[t[self.inverse[b]][a]][b]
+
+    @cached_property
+    def table_array(self) -> np.ndarray:
+        """``table`` as an (order, order) integer array, built on first use."""
+        return np.array(self.table, dtype=np.intp)
+
+    @cached_property
+    def over_array(self) -> np.ndarray:
+        """``over_array[a, b]`` = index of ``a^-1 * b``, built on first use."""
+        return self.table_array[list(self.inverse)]
 
     def involutions(self) -> frozenset[int]:
         """Indices of all a with a*a = identity.  Always contains the identity."""
@@ -306,37 +317,39 @@ def load_cayley_table(path: str) -> FiniteGroup:
     The identity is detected but elements are NOT renumbered.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.readlines()
+        fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise GroupSpecError(f"cannot read cayley table {path!r}: {exc}") from exc
 
     rows: list[list[int]] = []
     order: int | None = None
-    for lineno, line in enumerate(raw, start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        fields = text.split()
-        if order is None:
-            if len(fields) != 1:
-                raise GroupSpecError(f"{path}: line {lineno}: expected the group order alone")
+    with fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            fields = text.split()
+            if order is None:
+                if len(fields) != 1:
+                    raise GroupSpecError(f"{path}: line {lineno}: expected the group order alone")
+                try:
+                    order = int(fields[0])
+                except ValueError:
+                    raise GroupSpecError(f"{path}: line {lineno}: order is not an integer") from None
+                if order < 1:
+                    raise GroupSpecError(f"{path}: line {lineno}: order must be >= 1")
+                # Before any row is read: validation is cubic in the order.
+                _check_order("table", order)
+                continue
             try:
-                order = int(fields[0])
+                row = [int(f) for f in fields]
             except ValueError:
-                raise GroupSpecError(f"{path}: line {lineno}: order is not an integer") from None
-            if order < 1:
-                raise GroupSpecError(f"{path}: line {lineno}: order must be >= 1")
-            continue
-        try:
-            row = [int(f) for f in fields]
-        except ValueError:
-            raise GroupSpecError(f"{path}: line {lineno}: non-integer table entry") from None
-        if len(row) != order:
-            raise GroupSpecError(
-                f"{path}: line {lineno}: expected {order} entries, got {len(row)}"
-            )
-        rows.append(row)
+                raise GroupSpecError(f"{path}: line {lineno}: non-integer table entry") from None
+            if len(row) != order:
+                raise GroupSpecError(
+                    f"{path}: line {lineno}: expected {order} entries, got {len(row)}"
+                )
+            rows.append(row)
     if order is None:
         raise GroupSpecError(f"{path}: empty table file")
     if len(rows) != order:

@@ -1,12 +1,17 @@
-"""Helpers shared by the test modules: the data directory and small graphs.
+"""Helpers shared by the test modules: the data directory, small graphs and
+the hash of a CLI run's stdout.
 
 They live here, not in ``conftest.py``, because ``bench/tests`` has a
 ``conftest.py`` too and both import under the one module name ``conftest``.
 """
 
+import hashlib
+import io
 import random
+import sys
 from pathlib import Path
 
+from bgains import cli
 from bgains.balance import FLEXIBLE, all_closed_walks
 from bgains.digraph import Digraph, analyze
 
@@ -47,3 +52,22 @@ def random_connected_digraph(rng: random.Random, max_vertices=4, max_edges=5, bi
         if not _walk_family_fits(d, max_walks):
             continue
         return d
+
+
+class HashingStdout(io.TextIOBase):
+    """Stands in for stdout and keeps only the sha256 of what is written."""
+
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+
+    def write(self, s):
+        self.sha256.update(s.encode())
+        return len(s)
+
+
+def cli_stdout_sha256(monkeypatch, *argv) -> str:
+    out = HashingStdout()
+    with monkeypatch.context() as m:
+        m.setattr(sys, "stdout", out)
+        assert cli.main(["enumerate", *map(str, argv)]) == cli.EXIT_OK
+    return out.sha256.hexdigest()

@@ -1,19 +1,21 @@
 """Command line behavior: output contracts and exit codes, in process
 except where a real pipe is needed."""
 
+import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from bgains import cli, enumeration
-from bgains.balance import FullLabeling, is_balanced_full
+from bgains.balance import FULL, RIGID, FullLabeling, is_balanced_full
 from bgains.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
-from bgains.digraph import analyze
+from bgains.digraph import analyze, load_graph
 from bgains.groups import make_group
 
-from graph_helpers import DATA
+from graph_helpers import DATA, HashingStdout, cli_stdout_sha256, data_text
 
 THETA = str(DATA / "theta.txt")
 TRIANGLE = str(DATA / "triangle.txt")
@@ -288,6 +290,55 @@ def test_enumerate_show_elements(run):
     )
     assert code == EXIT_OK
     assert out.splitlines() == ["012", "021", "102", "120", "201", "210"]
+
+
+def test_enumerate_limit_cuts_the_stream_anywhere(monkeypatch):
+    """``--limit`` at the stream's ends and at and inside a block boundary:
+    the lines shown are the library stream's prefix, and the marker
+    appears exactly when lines were cut."""
+    group, d = make_group("symmetric:3"), load_graph(data_text("theta.txt"))
+    total = enumeration.count(group, d, FULL, RIGID).value
+    block = next(enumeration._Frame(group, d, FULL, RIGID).blocks()).shape[0]
+    limits = sorted({0, 1, block, block + block // 2, total - 1, total, total + 1})
+    assert 1 < block < block + block // 2 < total - 1
+    prefix, h = {}, hashlib.sha256()
+    for shown, labeling in enumerate(enumeration.enumerate_all(group, d, FULL, RIGID), start=1):
+        h.update((" ".join(map(str, labeling.vertex_values + labeling.edge_values)) + "\n").encode())
+        if shown in limits:
+            prefix[shown] = h.copy()
+    prefix[0] = hashlib.sha256()
+    prefix[total + 1] = prefix[total]
+    for limit in limits:
+        expected = prefix[limit].copy()
+        if limit < total:
+            expected.update(f"# truncated: {limit} of {total} labelings shown\n".encode())
+        got = cli_stdout_sha256(monkeypatch, THETA, "--group", "symmetric:3", "--target", FULL,
+                                "--mode", RIGID, "--limit", limit)
+        assert got == expected.hexdigest(), limit
+
+
+def traced_peak(monkeypatch, argv) -> int:
+    """Peak traced allocation of one CLI run, its stdout only hashed."""
+    monkeypatch.setattr(sys, "stdout", HashingStdout())
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_enumerate_memory_is_bounded_by_the_block(monkeypatch):
+    argv = ["enumerate", THETA, "--group", "symmetric:3", "--target", "full", "--mode", "rigid"]
+    assert traced_peak(monkeypatch, argv) < 8_000_000
+
+
+@pytest.mark.parametrize("target,mode", [(t, m) for t in ("edges", "full") for m in ("flexible", "rigid")])
+def test_enumerate_wide_labelings_in_bounded_memory(monkeypatch, long_path, target, mode):
+    """6,000 vertices: every labeling has thousands of values, so a block
+    holds a single row."""
+    argv = ["enumerate", long_path[0], "--group", "cyclic:6", "--target", target, "--mode", mode, "--limit", "3"]
+    assert traced_peak(monkeypatch, argv) < 8_000_000
 
 
 def test_enumerate_negative_limit(run):

@@ -19,7 +19,7 @@ from bgains.balance import (
     is_balanced_edges,
     is_balanced_full,
 )
-from bgains.digraph import Digraph, analyze, iter_connected_multigraphs
+from bgains.digraph import Digraph, analyze, iter_connected_multigraphs, load_graph
 from bgains.enumeration import (
     BalancedCount,
     NotWeaklyConnectedError,
@@ -39,7 +39,9 @@ from bgains.enumeration import (
 from bgains import enumeration
 from bgains.groups import make_group
 
-from graph_helpers import random_connected_digraph
+from graph_helpers import DATA, random_connected_digraph
+
+CASES = [(t, m) for t in (EDGES, FULL) for m in (FLEXIBLE, RIGID)]
 
 
 def key(lab):
@@ -283,6 +285,32 @@ def test_enumerate_order_is_frozen(triangle):
     c2 = make_group("cyclic:2")
     got = [f.values for f in enumerate_all(c2, triangle, EDGES, FLEXIBLE)]
     assert got == [(0, 0, 0), (0, 1, 1), (1, 1, 0), (1, 0, 1)]
+
+
+@pytest.mark.parametrize("block_values", [1, 40, enumeration.BLOCK_VALUES])
+def test_block_stream_is_the_row_by_row_decode(monkeypatch, block_values):
+    """However the stream is cut into blocks, it is the one-row decode of
+    every coordinate vector in lexicographic order, as labelings and as
+    lines."""
+    monkeypatch.setattr(enumeration, "BLOCK_VALUES", block_values)
+    tokens = ("e", "x", "y")
+    g = make_group("cyclic:3")
+    for path in sorted(DATA.glob("*.txt")):
+        d = load_graph(path.read_text())
+        for target, mode in CASES:
+            frame = enumeration._Frame(g, d, target, mode)
+            expected = [frame.decode(c) for c in itertools.product(*map(range, frame.radices))]
+            assert list(enumerate_all(g, d, target, mode)) == expected, (path.name, target, mode)
+            lines = [
+                " ".join(tokens[v] for v in (h.values if target == EDGES else h.vertex_values + h.edge_values))
+                for h in expected
+            ]
+            assert list(enumerate_all(g, d, target, mode, tokens=tokens)) == lines
+
+
+def test_tokens_must_name_every_element(theta):
+    with pytest.raises(ValueError, match="2 tokens for a group of order 3"):
+        next(enumerate_all(make_group("cyclic:3"), theta, EDGES, FLEXIBLE, tokens=("a", "b")))
 
 
 def test_enumerate_deterministic(theta):

@@ -1,10 +1,12 @@
 """Group construction, arithmetic and table validation."""
 
 import itertools
+import time
 import tracemalloc
 
 import pytest
 
+from bgains import cli
 from bgains.groups import (
     GroupAxiomError,
     GroupSpecError,
@@ -92,6 +94,26 @@ def test_order_limit_applies_before_the_table_is_built(spec):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_table_file_order_limit_applies_before_any_row_is_read(tmp_path):
+    """A valid order-1,025 table would otherwise run the cubic associativity
+    check in full (tens of seconds) on top of holding the parsed rows."""
+    n = 1025
+    path = tmp_path / "c1025.txt"
+    tokens = [str(j) for j in range(n)] * 2
+    path.write_text(f"{n}\n" + "".join(" ".join(tokens[i : i + n]) + "\n" for i in range(n)))
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupSpecError, match="table order 1025 exceeds the supported limit 1024"):
+            make_group(f"table:{path}")
+        _, peak = tracemalloc.get_traced_memory()
+        assert cli.main(["group-info", "--group", f"table:{path}"]) == cli.EXIT_USAGE
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert time.perf_counter() - start < 5
 
 
 def test_order_limit_is_inclusive():
