@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Record the benchmark's end-to-end metrics in BENCH_<short-sha>.json.
 
-    python3 scripts/bench_record.py CHECKOUT [CHECKOUT] [--seeds N ...] [--workloads W ...]
+    python3 scripts/bench_record.py CHECKOUT [CHECKOUT] [--out-dir DIR]
 
 Runs ``bench/run.py --seconds 15 --trace 0`` from each checkout (a source
 tree with a ``bench/`` directory, usually a clone at one commit) on every
@@ -26,7 +26,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("enumerate-stream", "large-graph", "verify-grid", "verify-large")
-# Seeds 101-105 served to develop the block decoder; these are fresh.
+# Fixed, and apart from seeds 101-105, on which the block decoder was
+# tuned, so that a gain measured here is not fitted to its seeds.
 SEEDS = tuple(range(111, 121))
 SECONDS = 15
 HIGHER_IS_BETTER = {"success_rate", "items_per_s"}
@@ -62,8 +63,6 @@ def summary(runs: list[dict]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkouts", nargs="+", type=Path, help="one or two source checkouts")
-    parser.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--out-dir", type=Path, default=ROOT)
     args = parser.parse_args(argv)
     if len(args.checkouts) > 2:
@@ -73,10 +72,10 @@ def main(argv=None) -> int:
         if not (c / "bench" / "run.py").is_file():
             parser.error(f"{c} has no bench/run.py")
 
-    raw = {c: {w: [] for w in args.workloads} for c in checkouts}
-    for k, seed in enumerate(args.seeds):
+    raw = {c: {w: [] for w in WORKLOADS} for c in checkouts}
+    for k, seed in enumerate(SEEDS):
         order = checkouts if k % 2 == 0 else checkouts[::-1]
-        for workload in args.workloads:
+        for workload in WORKLOADS:
             for c in order:
                 run = bench_once(c, workload, seed)
                 raw[c][workload].append(run)
@@ -91,7 +90,7 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "machine": platform.machine(),
             "command": f"bench/run.py --seconds {SECONDS} --trace 0",
-            "seeds": args.seeds,
+            "seeds": list(SEEDS),
             "workloads": {w: summary(runs) for w, runs in raw[c].items()},
             "runs": raw[c],
         }
@@ -101,7 +100,7 @@ def main(argv=None) -> int:
 
     if len(checkouts) == 2:
         a, b = checkouts
-        for w in args.workloads:
+        for w in WORKLOADS:
             for name in raw[a][w][0]["metrics"]:
                 va = [r["metrics"][name]["value"] for r in raw[a][w]]
                 vb = [r["metrics"][name]["value"] for r in raw[b][w]]
