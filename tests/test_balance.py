@@ -1,8 +1,10 @@
 """Closed walks, walk products, balance checks and the brute-force oracle."""
 
+import ast
 import itertools
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -405,3 +407,33 @@ def test_adding_edges_to_strongly_connected_graph_keeps_edge_count(triangle, the
                 extra = (rng.randrange(d.n_vertices), rng.randrange(d.n_vertices))
                 bigger = Digraph(d.n_vertices, d.edges + (extra,))
                 assert brute_force_count(g, bigger, EDGES, FLEXIBLE) == base
+
+
+SRC = Path(balance.__file__).parent
+
+
+def bgains_imports(module: str) -> set[str]:
+    """The bgains modules that ``bgains/<module>.py`` imports, by short name."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = f"bgains.{base}" if base else "bgains"
+            names += [base] + [f"{base}.{a.name}" for a in node.names]
+    return {n.split(".")[1] for n in names if n.startswith("bgains.")}
+
+
+def test_oracle_and_walk_checks_import_nothing_from_enumeration():
+    # The oracle and is_balanced_* check the bijections, so they must not
+    # reach enumeration's code, directly or through another bgains module.
+    reached, todo = set(), ["balance"]
+    while todo:
+        module = todo.pop()
+        reached.add(module)
+        todo += [m for m in bgains_imports(module) - reached if (SRC / f"{m}.py").exists()]
+    assert "enumeration" not in reached
+    assert {"balance", "digraph", "groups"} <= reached

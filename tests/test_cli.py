@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from bgains import cli, enumeration
+from bgains import cli, enumeration, groups
 from bgains.balance import FULL, RIGID, FullLabeling, is_balanced_full
 from bgains.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from bgains.digraph import analyze, load_graph
@@ -397,6 +397,18 @@ def test_group_info_bad_spec(run):
     code, _, err = run("group-info", "--group", "cyclic:zero")
     assert code == EXIT_USAGE
     assert "error" in err
+
+
+def test_group_info_refuses_deep_product_nesting(run):
+    # Order-1 factors never reach the order cap, so only the nesting limit
+    # stops the parser's recursion.
+    code, out, err = run("group-info", "--group", "product:cyclic:1," * 1200 + "cyclic:1")
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1 and "nests deeper" in err
+    depth = groups._NESTING_LIMIT
+    assert run("group-info", "--group", "product:cyclic:1," * (depth + 1) + "cyclic:1")[0] == EXIT_USAGE
+    code, out, _ = run("group-info", "--group", "product:cyclic:1," * depth + "cyclic:1")
+    assert code == EXIT_OK and json.loads(out)["order"] == 1
 
 
 # ------------------------------------------------------------ exit codes

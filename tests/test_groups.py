@@ -1,6 +1,8 @@
 """Group construction, arithmetic and table validation."""
 
 import itertools
+import random
+import re
 import time
 import tracemalloc
 
@@ -97,8 +99,8 @@ def test_order_limit_applies_before_the_table_is_built(spec):
 
 
 def test_table_file_order_limit_applies_before_any_row_is_read(tmp_path):
-    """A valid order-1,025 table would otherwise run the cubic associativity
-    check in full (tens of seconds) on top of holding the parsed rows."""
+    """An order-1,025 table is refused from its order line, before its
+    order^2 entries are read, held and validated."""
     n = 1025
     path = tmp_path / "c1025.txt"
     tokens = [str(j) for j in range(n)] * 2
@@ -118,6 +120,102 @@ def test_table_file_order_limit_applies_before_any_row_is_read(tmp_path):
 
 def test_order_limit_is_inclusive():
     assert make_group("cyclic:1024").order == 1024
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_largest_table_file_is_fully_validated_quickly(tmp_path, swap):
+    # Swapping two rows of a group table keeps it a latin square but breaks
+    # associativity, which only a full check can see.
+    n = 1024
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    if swap:
+        table[1], table[2] = table[2], table[1]
+    path = tmp_path / "c1024.txt"
+    path.write_text(f"{n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in table))
+    start = time.perf_counter()
+    if swap:
+        with pytest.raises(GroupAxiomError, match="associativity fails at"):
+            make_group(f"table:{path}")
+    else:
+        assert make_group(f"table:{path}").order == n
+    assert time.perf_counter() - start < 5
+
+
+def naive_associativity_violation(t):
+    n = len(t)
+    return next(
+        ((a, b, c) for a in range(n) for b in range(n) for c in range(n) if t[t[a][b]][c] != t[a][t[b][c]]),
+        None,
+    )
+
+
+def relabeled(table, new_of_old):
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[new_of_old[a]][new_of_old[b]] = new_of_old[table[a][b]]
+    return out
+
+
+def random_loop(rng, n):
+    """A random latin square of order n with identity 0, by backtracking."""
+    t = [[(i if j == 0 else j if i == 0 else None) for j in range(n)] for i in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        for v in rng.sample(range(n), n):
+            if v not in t[i] and all(t[r][j] != v for r in range(n)):
+                t[i][j] = v
+                if fill(k + 1):
+                    return True
+                t[i][j] = None
+        return False
+
+    assert fill(0)
+    return t
+
+
+def random_latin_squares(seed):
+    """Relabeled groups, random loops and their row/column isotopes (latin
+    squares that usually lack an identity), of orders 1 to 6."""
+    rng = random.Random(seed)
+    specs = ["cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "product:cyclic:2,cyclic:2",
+             "cyclic:5", "cyclic:6", "symmetric:3"]
+    for spec in specs:
+        table = make_group(spec).table
+        yield relabeled(table, rng.sample(range(len(table)), len(table)))
+    for n in range(1, 7):
+        for _ in range(6):
+            loop = random_loop(rng, n)
+            yield relabeled(loop, rng.sample(range(n), n))
+            rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+            yield [[loop[rows[i]][cols[j]] for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_validator_finds_exactly_the_naive_associativity_violations(seed):
+    outcomes = set()
+    for t in random_latin_squares(seed):
+        if naive_associativity_violation(t) is None:
+            # An associative latin square is a group.
+            identity, inverse = validate_cayley_table(t)
+            assert all(t[a][inverse[a]] == identity for a in range(len(t)))
+            outcomes.add("group")
+            continue
+        with pytest.raises(GroupAxiomError, match="associativity fails at") as info:
+            validate_cayley_table(t)
+        a, b, c, left, right = map(int, re.search(
+            r"at \((\d+),(\d+),(\d+)\): \(\d+\*\d+\)\*\d+=(\d+) but \d+\*\(\d+\*\d+\)=(\d+)",
+            str(info.value),
+        ).groups())
+        assert (left, right) == (t[t[a][b]][c], t[a][t[b][c]])
+        assert left != right
+        outcomes.add("violation")
+    assert outcomes == {"group", "violation"}
 
 
 def test_mul_cyclic():
