@@ -63,6 +63,15 @@ through each edge's origin; flexible full labelings conjugate as
 more through each edge's origin.  Decoding one coordinate vector, as
 ``sample_uniform`` does, is the one-row case of the same gathers.  Memory
 is bounded by the block, whatever the length of the stream.
+
+Encoding inverts decoding.  It reads a labeling's leading coordinates, then
+propagates the potential of its edge part f (the edge values, or for full
+labelings, except flexible ones on bipartite graphs, ``f(e) = h(origin)
+h(e)``) over a breadth-first tree of each part, then reads the cross-part
+edges.  A labeling is balanced exactly when it switches to identity gains
+(Zaslavsky, *Biased graphs I*), that is, when these coordinates decode back
+to it: that one comparison is the balance check of every inverse map.  The
+seven bijection maps are projections of decoding and encoding.
 """
 
 from __future__ import annotations
@@ -70,6 +79,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -189,89 +199,29 @@ def potential_to_edges(group: FiniteGroup, d: Digraph, p: Potential) -> EdgeLabe
 def edges_to_potential(group: FiniteGroup, d: Digraph, f: EdgeLabeling, base: int = 0) -> Potential:
     """Recover the unique potential with identity at ``base``.
 
-    Propagates values over the underlying undirected graph and then checks
-    every edge; a contradiction raises UnbalancedLabelingError, so this
+    The frame encodes f as its potential with identity at vertex 0, which
+    is then shifted; an unbalanced f raises UnbalancedLabelingError, so this
     doubles as a linear-time balance check for flexible edge labelings.
     """
-    if f.mode != FLEXIBLE:
-        raise ValueError("edges_to_potential applies to flexible labelings")
-    if len(f.values) != d.n_edges:
-        raise ValueError(f"labeling has {len(f.values)} values for {d.n_edges} edges")
-    _connected_report(d)
-    if not 0 <= base < d.n_vertices:
-        raise ValueError(f"base vertex {base} out of range")
-    return Potential(tuple(_tree_potential(group, d, _spanning_tree(d, base), f.values)), base)
+    p = (group.identity, *_Frame(group, d, EDGES, FLEXIBLE).encode(f))
+    _check_base(d, base)
+    shift = group.table[group.inverse[p[base]]]
+    return Potential(tuple(shift[x] for x in p), base)
 
 
-def _spanning_tree(d: Digraph, root: int) -> list[tuple[int, int, int, bool]]:
-    """Breadth-first spanning tree of the underlying undirected graph of a
-    weakly connected digraph.
-
-    One ``(e, u, w, backwards)`` per vertex w other than ``root``, in visit
-    order: u was reached before w, and edge e joins them, running w -> u
-    when ``backwards``.
-    """
-    incident: list[list[tuple[int, int, bool]]] = [[] for _ in range(d.n_vertices)]
-    for e, (u, w) in enumerate(d.edges):
-        incident[u].append((e, w, False))
-        incident[w].append((e, u, True))
-    seen = [False] * d.n_vertices
-    seen[root] = True
-    tree = []
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for e, w, backwards in incident[u]:
-            if not seen[w]:
-                seen[w] = True
-                tree.append((e, u, w, backwards))
-                queue.append(w)
-    return tree
-
-
-def _tree_potential(group: FiniteGroup, d: Digraph, tree, f: tuple[int, ...]) -> list[int]:
-    """The potential p with identity at the tree's root and
-    ``f(e) = p(origin)^-1 p(endpoint)`` along the tree, checked on every
-    edge afterwards."""
-    table, inverse = group.table, group.inverse
-    p = [group.identity] * d.n_vertices
-    for e, u, w, backwards in tree:
-        x = f[e]
-        p[w] = table[p[u]][inverse[x] if backwards else x]
-    for e, (u, w) in enumerate(d.edges):
-        if table[p[u]][f[e]] != p[w]:
-            raise UnbalancedLabelingError(
-                f"edge {e} contradicts the propagated potential: the labeling is not balanced"
-            )
-    return p
-
-
-def _odd_depth(n_vertices: int, tree) -> list[bool]:
-    """Whether each vertex lies at odd depth in ``tree``; on a bipartite
-    graph, whether it is on the other side from the root."""
-    odd = [False] * n_vertices
-    for _, u, w, _ in tree:
-        odd[w] = not odd[u]
-    return odd
-
-
-def _full_flexible(group: FiniteGroup, d: Digraph, a: int, p, f: tuple[int, ...], odd) -> FullLabeling:
-    """The full labeling paired with (a, f), where f is the coboundary of
-    the potential p and p is the identity at the base vertex.
-
-    Vertex values are ``h(v) = p(v)^-1 a' p(v)``.  On a bipartite graph
-    ``odd`` marks the vertices at odd depth, where a' = a^-1 (elsewhere
-    a' = a), and the edge values are f.  Otherwise ``odd`` is None, a' = a,
-    and ``h(e) = h(origin) f(e)``.
-    """
-    conj = group.conj
-    if odd is not None:
-        a_inv = group.inverse[a]
-        return FullLabeling(tuple(conj(a_inv if o else a, x) for o, x in zip(odd, p)), f, FLEXIBLE)
-    table = group.table
-    vertex_values = tuple(conj(a, x) for x in p)
-    edge_values = tuple(table[vertex_values[u]][x] for (u, _), x in zip(d.edges, f))
-    return FullLabeling(vertex_values, edge_values, FLEXIBLE)
+def _extend(group: FiniteGroup, d: Digraph, a: int, f: EdgeLabeling, base: int, bipartite: bool) -> FullLabeling:
+    """The full flexible labeling with edge part f and h(base) = a: the
+    decode of ``h(0) = p(base) a' p(base)^-1`` and the potential p of f,
+    where a' = a^-1 if base lies at odd depth on a bipartite graph, else a."""
+    edges, full = _frames(group, d, FLEXIBLE)
+    _check_base(d, base)
+    if (full._odd is not None) != bipartite:
+        no, use = ("not ", "odd") if bipartite else ("", "bipartite")
+        raise UnbalancedLabelingError(f"the underlying graph is {no}bipartite; use pair_to_full_{use}")
+    p = (group.identity, *edges.encode(f))
+    if bipartite and full._odd[base]:
+        a = group.inverse[a]
+    return full.decode((full._head_coordinate[group.conj(a, group.inverse[p[base]])], *p[1:]))
 
 
 def pair_to_full_bipartite(
@@ -283,14 +233,7 @@ def pair_to_full_bipartite(
     by ``h(w) = f(e)^-1 h(u)^-1 f(e)``.  Raises UnbalancedLabelingError when
     f is not balanced or the underlying graph is not bipartite.
     """
-    _require_edge_shape(d, f, FLEXIBLE)
-    report = _connected_report(d)
-    _check_base(d, base)
-    if not report.bipartite:
-        raise UnbalancedLabelingError("the underlying graph is not bipartite; use pair_to_full_odd")
-    tree = _spanning_tree(d, base)
-    p = _tree_potential(group, d, tree, f.values)
-    return _full_flexible(group, d, a, p, f.values, _odd_depth(d.n_vertices, tree))
+    return _extend(group, d, a, f, base, True)
 
 
 def pair_to_full_odd(
@@ -301,68 +244,39 @@ def pair_to_full_odd(
 
     Vertex values are the conjugates ``h(w) = f(e)^-1 h(u) f(e)`` of a along
     f, and edge values are ``h(e) = h(origin) f(e)``.  Raises
-    UnbalancedLabelingError when f is not balanced.
+    UnbalancedLabelingError when f is not balanced or the graph is bipartite.
     """
     if group.mul(a, a) != group.identity:
         raise ValueError(f"element {a} is not an involution")
-    _require_edge_shape(d, f, FLEXIBLE)
-    _connected_report(d)
-    _check_base(d, base)
-    p = _tree_potential(group, d, _spanning_tree(d, base), f.values)
-    return _full_flexible(group, d, a, p, f.values, None)
+    return _extend(group, d, a, f, base, False)
 
 
 def full_to_pair(group: FiniteGroup, d: Digraph, h: FullLabeling, base: int = 0) -> tuple[int, EdgeLabeling]:
     """Invert the applicable pair-to-full map: returns (h(base), f).
 
-    Which extraction applies follows the graph's parity (from ``analyze``):
-    on bipartite graphs f is h restricted to edges; otherwise
-    ``f(e) = h(origin) h(e)``.
+    f is h's edge values on bipartite graphs, otherwise ``f(e) = h(origin)
+    h(e)``; raises UnbalancedLabelingError when h is not balanced.
     """
-    if h.mode != FLEXIBLE:
-        raise ValueError("full_to_pair applies to flexible labelings")
-    if len(h.vertex_values) != d.n_vertices or len(h.edge_values) != d.n_edges:
-        raise ValueError("labeling shape does not match the digraph")
-    report = _connected_report(d)
+    edges, full = _frames(group, d, FLEXIBLE)
     _check_base(d, base)
-    a = h.vertex_values[base]
-    if report.bipartite:
-        return a, EdgeLabeling(h.edge_values, FLEXIBLE)
-    mul = group.mul
-    f = tuple(mul(h.vertex_values[u], h.edge_values[e]) for e, (u, _) in enumerate(d.edges))
-    return a, EdgeLabeling(f, FLEXIBLE)
+    return h.vertex_values[base], edges.decode(full.encode(h)[1:])
 
 
 def pair_to_full_rigid(
     group: FiniteGroup, d: Digraph, vertex_values: tuple[int, ...], f: EdgeLabeling
 ) -> FullLabeling:
     """Pair free vertex values with a balanced rigid f: h(e) = h(origin)^-1 f(e)."""
-    _require_edge_shape(d, f, RIGID)
+    edges, full = _frames(group, d, RIGID)
     if len(vertex_values) != d.n_vertices:
         raise ValueError("vertex value tuple does not match the digraph")
-    mul, inv = group.mul, group.inv
-    edge_values = tuple(
-        mul(inv(vertex_values[u]), f.values[e]) for e, (u, _) in enumerate(d.edges)
-    )
-    return FullLabeling(tuple(vertex_values), edge_values, RIGID)
+    return full.decode((*vertex_values, *edges.encode(f)))
 
 
 def full_to_pair_rigid(group: FiniteGroup, d: Digraph, h: FullLabeling) -> tuple[tuple[int, ...], EdgeLabeling]:
-    """Inverse of pair_to_full_rigid: f(e) = h(origin) h(e)."""
-    if h.mode != RIGID:
-        raise ValueError("full_to_pair_rigid applies to rigid labelings")
-    if len(h.vertex_values) != d.n_vertices or len(h.edge_values) != d.n_edges:
-        raise ValueError("labeling shape does not match the digraph")
-    mul = group.mul
-    f = tuple(mul(h.vertex_values[u], h.edge_values[e]) for e, (u, _) in enumerate(d.edges))
-    return h.vertex_values, EdgeLabeling(f, RIGID)
-
-
-def _require_edge_shape(d: Digraph, f: EdgeLabeling, mode: str) -> None:
-    if f.mode != mode:
-        raise ValueError(f"expected a {mode} edge labeling, got {f.mode}")
-    if len(f.values) != d.n_edges:
-        raise ValueError(f"labeling has {len(f.values)} values for {d.n_edges} edges")
+    """Inverse of pair_to_full_rigid: f(e) = h(origin) h(e); h must be balanced."""
+    edges, full = _frames(group, d, RIGID)
+    coords = full.encode(h)
+    return tuple(coords[: d.n_vertices]), edges.decode(coords[d.n_vertices :])
 
 
 def _check_base(d: Digraph, base: int) -> None:
@@ -373,6 +287,35 @@ def _check_base(d: Digraph, base: int) -> None:
 # ---------------------------------------------------------- enumeration
 
 
+def _spanning_tree(d: Digraph, part: Sequence[int]) -> tuple[list[tuple[int, int, int, bool]], list[bool]]:
+    """Breadth-first spanning forest of the underlying undirected graph: one
+    tree per part, rooted at its smallest vertex, over the part's own edges.
+
+    Returns one ``(e, u, w, backwards)`` per non-root vertex w, in visit
+    order (u was reached before w; edge e joins them, running w -> u when
+    ``backwards``), and whether each vertex lies at odd depth.
+    """
+    incident: list[list[tuple[int, int, bool]]] = [[] for _ in range(d.n_vertices)]
+    for e, (u, w) in enumerate(d.edges):
+        if part[u] == part[w]:
+            incident[u].append((e, w, False))
+            incident[w].append((e, u, True))
+    odd: list = [None] * d.n_vertices  # None until visited
+    tree = []
+    for root in range(d.n_vertices):
+        if odd[root] is None:
+            odd[root] = False
+            queue = deque([root])
+            while queue:
+                u = queue.popleft()
+                for e, w, backwards in incident[u]:
+                    if odd[w] is None:
+                        odd[w] = not odd[u]
+                        tree.append((e, u, w, backwards))
+                        queue.append(w)
+    return tree, odd
+
+
 class _Frame:
     """The free coordinates of one instance's balanced labelings.
 
@@ -381,18 +324,27 @@ class _Frame:
     decodes the whole stream as arrays of element indices, one row per
     labeling and ``slots`` values per row; ``decode`` maps one coordinate
     vector, each entry below its radix, to its labeling through the same
-    gathers.
+    gathers, and ``encode`` is its inverse.
     """
 
-    def __init__(self, group: FiniteGroup, d: Digraph, target: str, mode: str):
-        report = _connected_report(d)
+    _odd = None  # on bipartite full flexible frames, the odd-depth vertices
+
+    def __init__(self, group: FiniteGroup, d: Digraph, target: str, mode: str, report: StructureReport | None = None):
+        report = report or _connected_report(d)
         self.count = _closed_form(group, d.n_vertices, report, target, mode)
         self.radices = (len(group.involutions()),) * self.count.s + (group.order,) * self.count.t
-        self._group, self._target, self._mode = group, target, mode
+        self._group, self._d, self._target, self._mode = group, d, target, mode
         n = self._n = d.n_vertices
         self.slots = d.n_edges + (n if target == FULL else 0)
         self._table, self._over = group.table_array, group.over_array
         self._origins = np.array([u for u, _ in d.edges], dtype=np.intp)
+        # A part is the whole graph (flexible) or one strongly connected
+        # component (rigid).  Decoding reads the coordinate vector with the
+        # identity appended at slot ``k``: the smallest vertex of each part
+        # reads that identity as its potential, the other vertices read the
+        # next coordinates, and each cross-part edge reads its own coordinate
+        # x as the "potential difference" identity^-1 x.
+        part = self._part = report.scc_assignment if mode == RIGID else (0,) * n
         # Coordinates ahead of the potential: none for edge labelings, the
         # vertex values for rigid full ones, the base element a otherwise.
         if target == EDGES:
@@ -403,15 +355,10 @@ class _Frame:
             self._lead = 1
             heads = sorted(group.involutions()) if self.count.s else range(group.order)
             self._heads = np.array(heads, dtype=np.intp)
+            self._head_coordinate = {a: c for c, a in enumerate(heads)}
             self._inverse = np.array(group.inverse, dtype=np.intp)
-            self._odd = np.array(_odd_depth(n, _spanning_tree(d, 0))) if report.bipartite else None
-        # A part is the whole graph (flexible) or one strongly connected
-        # component (rigid).  Decoding reads the coordinate vector with the
-        # identity appended at slot ``k``: the smallest vertex of each part
-        # reads that identity as its potential, the other vertices read the
-        # next coordinates, and each cross-part edge reads its own coordinate
-        # x as the "potential difference" identity^-1 x.
-        part = report.scc_assignment if mode == RIGID else (0,) * n
+            if report.bipartite:
+                self._odd = np.array(self._forest[1])
         k = len(self.radices)
         slots = iter(range(self._lead, k))
         seen: set[int] = set()
@@ -427,6 +374,10 @@ class _Frame:
         self._potential_slots = np.array(p, dtype=np.intp)
         self._origin_slots = np.array(origin_slots, dtype=np.intp)
         self._endpoint_slots = np.array(endpoint_slots, dtype=np.intp)
+
+    @cached_property
+    def _forest(self):
+        return _spanning_tree(self._d, self._part)
 
     def _values(self, x: np.ndarray) -> np.ndarray:
         """The labelings of the coordinate rows ``x`` (identity appended),
@@ -475,6 +426,44 @@ class _Frame:
     def decode(self, coords) -> EdgeLabeling | FullLabeling:
         x = np.array([(*coords, self._group.identity)], dtype=np.intp)
         return next(self.labelings(self._values(x)))
+
+    def encode(self, labeling: EdgeLabeling | FullLabeling) -> list[int]:
+        """The coordinate vector that ``decode`` maps to ``labeling``: the
+        leading coordinates, then the potential of the labeling's edge part
+        over one spanning tree per part, then the cross-part edge values.
+        The labeling is balanced exactly when these decode back to it; if
+        not, raises UnbalancedLabelingError."""
+        if labeling.mode != self._mode:
+            raise ValueError(f"expected a {self._mode} labeling, got {labeling.mode}")
+        h, f = ((), labeling.values) if self._target == EDGES else (labeling.vertex_values, labeling.edge_values)
+        if len(h) + len(f) != self.slots or len(f) != self._d.n_edges:
+            raise ValueError("labeling shape does not match the digraph")
+        group, values = self._group, [*h, *f]
+        if values and (min(values) < 0 or max(values) >= group.order):
+            raise ValueError(f"labeling values must be element indices 0..{group.order - 1}")
+        table, inverse = group.table, group.inverse
+        if self._target == FULL and self._odd is None:
+            f = [table[h[u]][x] for (u, _), x in zip(self._d.edges, f)]  # f(e) = h(origin) h(e)
+        p = [group.identity] * self._n
+        for e, u, w, backwards in self._forest[0]:
+            p[w] = table[p[u]][inverse[f[e]] if backwards else f[e]]
+        # Inside a part an edge's endpoint slot is a potential slot, which
+        # the second assignment overwrites; roots write the identity to k.
+        # A base value that no coordinate stands for reads 0 and fails below.
+        k = len(self.radices)
+        x = np.empty(k + 1, dtype=np.intp)
+        x[self._endpoint_slots] = f
+        x[self._potential_slots] = p
+        x[: self._lead] = [self._head_coordinate.get(h[0], 0)] if self._lead and self._mode == FLEXIBLE else h
+        if self._values(x[None])[0].tolist() != values:
+            raise UnbalancedLabelingError("the labeling is not balanced")
+        return x[:k].tolist()
+
+
+def _frames(group: FiniteGroup, d: Digraph, mode: str) -> tuple[_Frame, _Frame]:
+    """The edge and full frames of one instance, from one ``analyze``."""
+    report = _connected_report(d)
+    return _Frame(group, d, EDGES, mode, report), _Frame(group, d, FULL, mode, report)
 
 
 def enumerate_all(

@@ -124,10 +124,16 @@ def validate_cayley_table(table, *, source: str = "cayley table") -> tuple[int, 
     identity, inverses -- and the first violation raises GroupAxiomError
     naming the axiom and the offending indices.
     """
-    t = np.asarray(table, dtype=np.int64)
+    # Let numpy infer the type, so that floats and huge integers are refused, not cast.
+    try:
+        t = np.array(table)
+    except ValueError:
+        raise GroupAxiomError(f"{source}: table rows differ in length") from None
     if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
         raise GroupAxiomError(f"{source}: table must be square and non-empty, got shape {t.shape}")
     n = t.shape[0]
+    if t.dtype.kind not in "iu":
+        raise GroupAxiomError(f"{source}: entries must be integers in 0..{n - 1}")
     if t.min() < 0 or t.max() >= n:
         bad = np.argwhere((t < 0) | (t >= n))[0]
         raise GroupAxiomError(

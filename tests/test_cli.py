@@ -411,6 +411,14 @@ def test_group_info_refuses_deep_product_nesting(run):
     assert code == EXIT_OK and json.loads(out)["order"] == 1
 
 
+def test_group_info_refuses_a_table_entry_past_int64(run, tmp_path):
+    path = tmp_path / "huge.table"
+    path.write_text("2\n0 99999999999999999999\n1 0\n")
+    code, out, err = run("group-info", "--group", f"table:{path}")
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1 and "integers" in err
+
+
 # ------------------------------------------------------------ exit codes
 
 

@@ -250,6 +250,36 @@ def test_rigid_pair_roundtrip_random(seed):
     assert (got_vv, got_f) == (vv, f)
 
 
+@pytest.mark.parametrize(
+    "bijection, spec, args",
+    [
+        (pair_to_full_rigid, "cyclic:3", ((0, 0, 0), EdgeLabeling((1, 0, 0), RIGID))),
+        (full_to_pair, "cyclic:2", (FullLabeling((1, 0, 0), (0, 0, 0)),)),
+        (full_to_pair_rigid, "cyclic:3", (FullLabeling((0, 0, 0), (1, 0, 0), RIGID),)),
+    ],
+    ids=["pair_to_full_rigid", "full_to_pair", "full_to_pair_rigid"],
+)
+def test_inverse_maps_reject_unbalanced_labelings(triangle, bijection, spec, args):
+    with pytest.raises(UnbalancedLabelingError):
+        bijection(make_group(spec), triangle, *args)
+
+
+def test_pair_to_full_odd_rejects_bipartite_graphs(path2):
+    # On a bipartite graph the odd extension is not the inverse of
+    # full_to_pair: it would send (1, (0,)) to h with full_to_pair(h) = (1, (1,)).
+    with pytest.raises(UnbalancedLabelingError, match="bipartite"):
+        pair_to_full_odd(make_group("cyclic:2"), path2, 1, EdgeLabeling((0,)))
+
+
+@pytest.mark.parametrize("value", [-1, 3])
+def test_labeling_values_must_be_element_indices(path2, value):
+    g = make_group("cyclic:3")
+    with pytest.raises(ValueError, match="element indices"):
+        edges_to_potential(g, path2, EdgeLabeling((value,)))
+    with pytest.raises(ValueError, match="element indices"):
+        full_to_pair_rigid(g, path2, FullLabeling((0, value), (0,), RIGID))
+
+
 def test_rigid_mode_mismatch(path2):
     g = make_group("cyclic:2")
     with pytest.raises(ValueError, match="rigid"):
@@ -306,6 +336,33 @@ def test_block_stream_is_the_row_by_row_decode(monkeypatch, block_values):
                 for h in expected
             ]
             assert list(enumerate_all(g, d, target, mode, tokens=tokens)) == lines
+
+
+def test_encode_accepts_exactly_the_oracle_labelings():
+    """In all four cases ``_Frame.encode`` accepts exactly the labelings the
+    brute-force oracle finds balanced, each with coordinates that decode
+    back to it, and rejects every other candidate."""
+    table_f = make_group(f"table:{DATA / 's3_identity_at_1.table'}")
+    grids = [(iter_connected_multigraphs(3, 3), [make_group("cyclic:2"), make_group("cyclic:3")]),
+             (iter_connected_multigraphs(2, 3), [make_group("symmetric:3"), table_f])]
+    for graphs, groups in grids:
+        for d in graphs:
+            for g in groups:
+                for target, mode in CASES:
+                    frame = enumeration._Frame(g, d, target, mode)
+                    balanced = {key(h) for h in brute_force_labelings(g, d, target, mode)}
+                    accepted = 0
+                    for values in itertools.product(range(g.order), repeat=frame.slots):
+                        h = (EdgeLabeling(values, mode) if target == EDGES
+                             else FullLabeling(values[: d.n_vertices], values[d.n_vertices :], mode))
+                        try:
+                            coords = frame.encode(h)
+                        except UnbalancedLabelingError:
+                            assert values not in balanced, (d, g.name, target, mode, values)
+                            continue
+                        assert values in balanced and frame.decode(coords) == h, (d, g.name, target, mode, values)
+                        accepted += 1
+                    assert accepted == len(balanced)
 
 
 def test_tokens_must_name_every_element(theta):

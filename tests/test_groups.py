@@ -382,6 +382,19 @@ def test_validate_reports_first_axiom_in_order():
         validate_cayley_table([[0, 0], [0, 0]])
 
 
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([[0, 1.5], [1, 0]], "integers"),
+        ([[0, 10**20], [1, 0]], "integers"),
+        ([[0, 1], [1]], "rows differ in length"),
+    ],
+)
+def test_validate_refuses_tables_it_would_have_to_cast(table, message):
+    with pytest.raises(GroupAxiomError, match=message):
+        validate_cayley_table(table)
+
+
 def test_product_identity_renumbered(tmp_path):
     # A product with a table-group factor whose identity is not 0 still
     # lands the product identity at index 0.
