@@ -64,14 +64,15 @@ more through each edge's origin.  Decoding one coordinate vector, as
 ``sample_uniform`` does, is the one-row case of the same gathers.  Memory
 is bounded by the block, whatever the length of the stream.
 
-Encoding inverts decoding.  It reads a labeling's leading coordinates, then
-propagates the potential of its edge part f (the edge values, or for full
-labelings, except flexible ones on bipartite graphs, ``f(e) = h(origin)
-h(e)``) over a breadth-first tree of each part, then reads the cross-part
-edges.  A labeling is balanced exactly when it switches to identity gains
-(Zaslavsky, *Biased graphs I*), that is, when these coordinates decode back
-to it: that one comparison is the balance check of every inverse map.  The
-seven bijection maps are projections of decoding and encoding.
+Encoding inverts decoding.  It reads a labeling's leading coordinates and
+takes its edge part f: the edge values of edge labelings and of flexible
+full ones on bipartite graphs, else ``f(e) = h(origin) h(e)``.  It then
+propagates f's potential over a breadth-first tree of each part and reads
+the cross-part edge values.  A labeling is balanced exactly when it
+switches to identity gains (Zaslavsky, *Biased graphs I*), that is, when
+these coordinates decode back to it; that one comparison is the balance
+check of every inverse map.  All seven bijection maps are projections of
+decoding and encoding.
 """
 
 from __future__ import annotations
