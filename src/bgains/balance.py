@@ -26,10 +26,16 @@ genuinely different constraints.
 The brute-force functions enumerate every candidate labeling (all
 ``order**slots`` of them) and keep those that pass every walk.  They are
 the library's independent check on the closed-form counts, so they stay
-definitional; the only liberty taken is columnar evaluation with numpy,
-which ``brute_force_count_reference`` cross-checks in the test suite.
-Candidates are numbered lexicographically and filtered one fixed-size
-block at a time, so the budget bounds the oracle's time, not its memory.
+definitional: every candidate is checked against every closed walk.  The
+only liberties taken are columnar evaluation with numpy; a batched tail,
+which checks the few candidates a block has left against all remaining
+walks at once instead of walk by walk; and a compact walk cache, which
+keeps the last two walk families as small-integer matrices instead of
+``ClosedWalk`` objects.  ``brute_force_count_reference`` shares none of
+them and cross-checks the oracle in the test suite.  Candidates are
+numbered lexicographically and filtered one fixed-size block at a time,
+and walks are packed and batched a fixed-size chunk at a time, so the
+budget bounds the oracle's time, not its memory.
 """
 
 from __future__ import annotations
@@ -76,6 +82,11 @@ DEFAULT_ORACLE_BUDGET = 10_000_000
 # Candidates filtered at a time by the oracle.  Peak memory follows this,
 # not the size of the candidate space.
 _BLOCK_SIZE = 1 << 16
+# Once at most this many candidates of a block are alive, the oracle checks
+# all remaining walks at once instead of walk by walk.
+_BATCH_BELOW = 32
+# Walks packed into the walk cache, and checked by a batch, at a time.
+_WALK_CHUNK = 1 << 10
 
 
 class WalkError(ValueError):
@@ -276,14 +287,68 @@ def all_closed_walks(d: Digraph, mode: str = FLEXIBLE) -> Iterator[ClosedWalk]:
                 stack.append(iter(out[target]))
 
 
+class _WalkFamily(NamedTuple):
+    """A mode's closed walks as padded small-integer matrices, one row per
+    walk, shortest first.  ``uses[w, j]`` is ``edge + n_edges*reverse`` of
+    step j; entries past ``lengths[w]`` are padding."""
+
+    vertices: np.ndarray
+    uses: np.ndarray
+    lengths: np.ndarray
+
+
 # A walk family can be factorial in the edge count, so only two are kept:
 # the callers that repeat a graph run its four (target, mode) cases back to
 # back (scripts/verify_grid.py, the acceptance sweep), which needs the
 # graph's flexible and rigid families and no other.
 @lru_cache(maxsize=2)
-def _walks_by_length(d: Digraph, mode: str) -> tuple[ClosedWalk, ...]:
-    """Materialized walk family sorted shortest-first (cheapest pruning first)."""
-    return tuple(sorted(all_closed_walks(d, mode), key=len))
+def _walk_family(d: Digraph, mode: str) -> _WalkFamily:
+    """The walks of ``all_closed_walks``, stably sorted shortest first
+    (cheapest pruning first).  They are packed ``_WALK_CHUNK`` at a time,
+    so their ``ClosedWalk`` objects are never all alive at once."""
+    n_edges = d.n_edges
+    types = (
+        np.min_scalar_type(max(d.n_vertices - 1, 0)),
+        np.min_scalar_type(max(2 * n_edges - 1, 0)),
+    )
+    parts: list[tuple[np.ndarray, np.ndarray]] = []
+    lengths: list[int] = []
+    walks = all_closed_walks(d, mode)
+    while chunk := list(itertools.islice(walks, _WALK_CHUNK)):
+        sizes = np.array([len(w) for w in chunk])
+        filled = np.arange(sizes.max()) < sizes[:, None]
+        flat = (
+            [v for w in chunk for v in w.vertices],
+            [edge + n_edges * reverse for w in chunk for edge, reverse in w.steps],
+        )
+        parts.append(tuple(_scatter(filled, x, t) for x, t in zip(flat, types)))
+        lengths += sizes.tolist()
+    width = max((p[0].shape[1] for p in parts), default=0)
+    walk_lengths = np.array(lengths, dtype=np.min_scalar_type(width))
+    rows = np.argsort(walk_lengths, kind="stable")
+    vertices, uses = (_stack([p[i] for p in parts], rows, width, t) for i, t in enumerate(types))
+    family = _WalkFamily(vertices, uses, walk_lengths[rows])
+    for array in family:
+        array.flags.writeable = False
+    return family
+
+
+def _scatter(filled: np.ndarray, values: list[int], dtype) -> np.ndarray:
+    """A zero matrix shaped like ``filled`` with ``values`` written, in
+    row-major order, where ``filled`` is true."""
+    out = np.zeros(filled.shape, dtype=dtype)
+    out[filled] = values
+    return out
+
+
+def _stack(parts: list[np.ndarray], rows: np.ndarray, width: int, dtype) -> np.ndarray:
+    """The parts, zero-padded to ``width`` columns, stacked and reordered."""
+    out = np.zeros((len(rows), width), dtype=dtype)
+    top = 0
+    for part in parts:
+        out[top : top + len(part), : part.shape[1]] = part
+        top += len(part)
+    return out[rows]
 
 
 def is_balanced_edges(group: FiniteGroup, d: Digraph, f: EdgeLabeling) -> bool:
@@ -354,29 +419,72 @@ def _survivor_blocks(group, d, target, mode, budget) -> tuple[np.ndarray, Iterat
     return powers, _filter_blocks(group, d, target, mode, powers, total)
 
 
+def _schedule(family: _WalkFamily, d: Digraph, target: str) -> np.ndarray:
+    """Multiplication schedule of every walk of the family, one row each.
+
+    Entries index a candidate's extended row ``[digits | inverse digits |
+    identity]``: slot s, slot s inverted (``s + slots``), or the identity
+    (``2*slots``), which pads the rows of short walks.  For the full target
+    each step is two entries, its start vertex's slot then its edge's slot
+    ``n_vertices + edge``; for edges, slot j is edge j.
+    """
+    slots = _slot_count(d, target)
+    kind = np.min_scalar_type(2 * slots)
+    # A use is edge + n_edges*reverse, so for edges it is the entry as is.
+    uses = family.uses.astype(kind)
+    padding = np.arange(uses.shape[1]) >= family.lengths[:, None]
+    if target == FULL:
+        uses += d.n_vertices
+        uses[family.uses >= d.n_edges] += d.n_vertices
+        schedule = np.empty((uses.shape[0], 2 * uses.shape[1]), dtype=kind)
+        schedule[:, 0::2] = family.vertices
+        schedule[:, 1::2] = uses
+        padding = padding.repeat(2, axis=1)
+    else:
+        schedule = uses
+    schedule[padding] = 2 * slots
+    return schedule
+
+
 def _filter_blocks(group, d, target, mode, powers, total) -> Iterator[np.ndarray]:
-    table = np.asarray(group.table, dtype=np.int64)
-    inverse = np.asarray(group.inverse, dtype=np.int64)
-    order = group.order
-    walks = _walks_by_length(d, mode)
+    table = group.table_array
+    inverse = np.asarray(group.inverse, dtype=np.intp)
+    order, e, slots = group.order, group.identity, len(powers)
+    family = _walk_family(d, mode)
+    schedule = _schedule(family, d, target)
+    n_walks = len(schedule)
+    # Schedule entries per walk; rows are sorted, so a chunk's last is its widest.
+    widths = family.lengths.astype(np.intp) * (2 if target == FULL else 1)
     for start in range(0, total, _BLOCK_SIZE):
         alive = np.arange(start, min(start + _BLOCK_SIZE, total), dtype=np.int64)
-        # Each walk's schedule is rebuilt per block, not kept: the identity
-        # labeling survives every walk, so keeping them would hold the whole
-        # walk family's schedules at once, more memory than a small
-        # instance's candidates take.
-        for walk in walks:
-            if alive.size == 0:
-                break
-            slot_vals: dict[int, np.ndarray] = {}
-            acc = np.full(alive.shape, group.identity, dtype=np.int64)
-            for slot, invert in _walk_ops(walk, target, d.n_vertices):
-                vals = slot_vals.get(slot)
+        # While many candidates are alive, each walk prunes them before the
+        # next is checked; a slot's digits are decoded when a walk uses it.
+        walk = 0
+        while walk < n_walks and alive.size > _BATCH_BELOW:
+            digits: dict[int, np.ndarray] = {}
+            acc = np.full(alive.shape, e, dtype=np.intp)
+            for entry in schedule[walk, : widths[walk]].tolist():
+                slot = entry % slots
+                vals = digits.get(slot)
                 if vals is None:
-                    vals = (alive // powers[slot]) % order
-                    slot_vals[slot] = vals
-                acc = table[acc, inverse[vals] if invert else vals]
-            alive = alive[acc == group.identity]
+                    vals = digits[slot] = (alive // powers[slot]) % order
+                acc = table[acc, inverse[vals] if entry >= slots else vals]
+            alive = alive[acc == e]
+            walk += 1
+        # Few are left: check them against the remaining walks together, one
+        # gather per schedule column, a chunk of walks at a time.
+        if walk < n_walks and alive.size:
+            rows = (alive[:, None] // powers) % order
+            rows = np.concatenate([rows, inverse[rows], np.full((alive.size, 1), e)], axis=1)
+            for first in range(walk, n_walks, _WALK_CHUNK):
+                last = min(first + _WALK_CHUNK, n_walks)
+                acc = np.full((alive.size, last - first), e, dtype=np.intp)
+                for column in schedule[first:last, : widths[last - 1]].T:
+                    acc = table[acc, rows[:, column]]
+                keep = (acc == e).all(axis=1)
+                alive, rows = alive[keep], rows[keep]
+                if not alive.size:
+                    break
         yield alive
 
 
@@ -454,7 +562,7 @@ def brute_force_count_reference(
     independent to agree with.
     """
     slots, _ = _checked_total(group, d, target, mode, budget)
-    walks = _walks_by_length(d, mode)
+    walks = sorted(all_closed_walks(d, mode), key=len)
     ops = [_walk_ops(w, target, d.n_vertices) for w in walks]
     table, inverse, e = group.table, group.inverse, group.identity
     count = 0

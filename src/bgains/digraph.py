@@ -48,6 +48,11 @@ class Digraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        # Edges given as lists (or pairs of lists) would make the graph
+        # unhashable and unequal to its tuple form; load_graph passes
+        # tuples of tuples, which are kept as they are.
+        if type(self.edges) is not tuple or set(map(type, self.edges)) - {tuple}:
+            object.__setattr__(self, "edges", tuple((int(u), int(w)) for u, w in self.edges))
         if self.n_vertices < 0:
             raise ValueError(f"n_vertices must be nonnegative, got {self.n_vertices}")
         for e, (u, w) in enumerate(self.edges):

@@ -214,6 +214,9 @@ def _extend(group: FiniteGroup, d: Digraph, a: int, f: EdgeLabeling, base: int, 
     """The full flexible labeling with edge part f and h(base) = a: the
     decode of ``h(0) = p(base) a' p(base)^-1`` and the potential p of f,
     where a' = a^-1 if base lies at odd depth on a bipartite graph, else a."""
+    _check_elements(group, (a,))
+    if not bipartite and group.mul(a, a) != group.identity:
+        raise ValueError(f"element {a} is not an involution")
     edges, full = _frames(group, d, FLEXIBLE)
     _check_base(d, base)
     if (full._odd is not None) != bipartite:
@@ -247,8 +250,6 @@ def pair_to_full_odd(
     f, and edge values are ``h(e) = h(origin) f(e)``.  Raises
     UnbalancedLabelingError when f is not balanced or the graph is bipartite.
     """
-    if group.mul(a, a) != group.identity:
-        raise ValueError(f"element {a} is not an involution")
     return _extend(group, d, a, f, base, False)
 
 
@@ -270,6 +271,7 @@ def pair_to_full_rigid(
     edges, full = _frames(group, d, RIGID)
     if len(vertex_values) != d.n_vertices:
         raise ValueError("vertex value tuple does not match the digraph")
+    _check_elements(group, vertex_values)
     return full.decode((*vertex_values, *edges.encode(f)))
 
 
@@ -278,6 +280,11 @@ def full_to_pair_rigid(group: FiniteGroup, d: Digraph, h: FullLabeling) -> tuple
     edges, full = _frames(group, d, RIGID)
     coords = full.encode(h)
     return tuple(coords[: d.n_vertices]), edges.decode(coords[d.n_vertices :])
+
+
+def _check_elements(group: FiniteGroup, values) -> None:
+    if values and (min(values) < 0 or max(values) >= group.order):
+        raise ValueError(f"labeling values must be element indices 0..{group.order - 1}")
 
 
 def _check_base(d: Digraph, base: int) -> None:
@@ -440,8 +447,7 @@ class _Frame:
         if len(h) + len(f) != self.slots or len(f) != self._d.n_edges:
             raise ValueError("labeling shape does not match the digraph")
         group, values = self._group, [*h, *f]
-        if values and (min(values) < 0 or max(values) >= group.order):
-            raise ValueError(f"labeling values must be element indices 0..{group.order - 1}")
+        _check_elements(group, values)
         table, inverse = group.table, group.inverse
         if self._target == FULL and self._odd is None:
             f = [table[h[u]][x] for (u, _), x in zip(self._d.edges, f)]  # f(e) = h(origin) h(e)

@@ -128,10 +128,10 @@ def test_long_cycle_walk_is_not_limited_by_recursion():
 
 def test_walk_cache_holds_two_families(triangle, theta, cycle4):
     g = make_group("cyclic:2")
-    balance._walks_by_length.cache_clear()
+    balance._walk_family.cache_clear()
     for d in (triangle, theta, cycle4):
         brute_force_count(g, d, EDGES, RIGID)
-    assert balance._walks_by_length.cache_info().currsize <= 2
+    assert balance._walk_family.cache_info().currsize <= 2
 
 
 # ------------------------------------------------------- walk products
@@ -290,6 +290,13 @@ def test_brute_force_examples(triangle):
     assert brute_force_count(c2, triangle, FULL, FLEXIBLE) == 8
 
 
+def test_oracle_accepts_a_digraph_built_from_a_list(triangle):
+    c3 = make_group("cyclic:3")
+    d = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+    assert brute_force_count(c3, d, EDGES, FLEXIBLE) == 9
+    assert brute_force_labelings(c3, d, FULL, RIGID) == brute_force_labelings(c3, triangle, FULL, RIGID)
+
+
 def test_brute_force_budget(triangle):
     s3 = make_group("symmetric:3")
     with pytest.raises(OracleBudgetError) as exc:
@@ -330,6 +337,19 @@ def _candidate_digits(labeling):
 def test_small_blocks_match_reference_and_enumeration(monkeypatch):
     # An odd block size puts block edges everywhere in the candidate order.
     monkeypatch.setattr(balance, "_BLOCK_SIZE", 7)
+    _check_oracle_on_data_graphs()
+
+
+@pytest.mark.parametrize("batch_below", [0, 10**9], ids=["never-batch", "batch-first"])
+def test_walk_by_walk_and_batched_phases_match_reference(monkeypatch, batch_below):
+    # Each phase alone must give the same survivors: filtering walk by walk
+    # to the end, or checking every walk in the batch from the first one.
+    monkeypatch.setattr(balance, "_BLOCK_SIZE", 7)
+    monkeypatch.setattr(balance, "_BATCH_BELOW", batch_below)
+    _check_oracle_on_data_graphs()
+
+
+def _check_oracle_on_data_graphs():
     c3 = make_group("cyclic:3")
     for path in sorted(DATA.glob("*.txt")):
         d = load_graph(path.read_text())
@@ -341,6 +361,32 @@ def test_small_blocks_match_reference_and_enumeration(monkeypatch):
                 ), case
                 expected = sorted(enumerate_all(c3, d, target, mode), key=_candidate_digits)
                 assert brute_force_labelings(c3, d, target, mode) == expected, case
+
+
+def test_oracle_schedule_indexes_past_the_budget_bound():
+    # The trivial group leaves the slot count unbounded by the budget: 600
+    # slots need schedule entries up to 1,200, past one byte.
+    n = 300
+    cycle = Digraph(n, tuple((v, (v + 1) % n) for v in range(n)))
+    assert brute_force_count(make_group("cyclic:1"), cycle, FULL, RIGID) == 1
+
+
+def test_walk_cache_is_compact():
+    # Four loops at one vertex have 16,072 flexible closed walks.
+    g = make_group("cyclic:3")
+    d = Digraph(1, ((0, 0),) * 4)
+    balance._walk_family.cache_clear()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for target in (EDGES, FULL):
+            assert brute_force_count(g, d, target, FLEXIBLE) == 1
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(balance._walk_family(d, FLEXIBLE).lengths) == 16_072
+    assert peak - before < 2.5 * 2**20
+    assert held - before < 1.5 * 2**20
 
 
 def test_oracle_memory_does_not_grow_with_candidates(cycle4):

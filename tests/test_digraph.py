@@ -75,6 +75,13 @@ def test_from_edges_validates():
         Digraph.from_edges(2, [(0, 2)])
 
 
+def test_list_edges_are_normalised_to_tuples():
+    d = Digraph(3, [[0, 1], (1, 2), [2, 0]])
+    assert d.edges == ((0, 1), (1, 2), (2, 0))
+    assert d == Digraph(3, ((0, 1), (1, 2), (2, 0)))
+    assert hash(d) == hash(Digraph(3, ((0, 1), (1, 2), (2, 0))))
+
+
 def test_analyze_single_vertex():
     r = analyze(Digraph(1, ()))
     assert r.weakly_connected and r.bipartite

@@ -272,12 +272,19 @@ def test_pair_to_full_odd_rejects_bipartite_graphs(path2):
 
 
 @pytest.mark.parametrize("value", [-1, 3])
-def test_labeling_values_must_be_element_indices(path2, value):
+def test_labeling_values_must_be_element_indices(path2, triangle, value):
     g = make_group("cyclic:3")
     with pytest.raises(ValueError, match="element indices"):
         edges_to_potential(g, path2, EdgeLabeling((value,)))
     with pytest.raises(ValueError, match="element indices"):
         full_to_pair_rigid(g, path2, FullLabeling((0, value), (0,), RIGID))
+    # The pair maps place these values without passing them through encode.
+    with pytest.raises(ValueError, match="element indices"):
+        pair_to_full_rigid(g, path2, (value, 0), EdgeLabeling((1,), RIGID))
+    with pytest.raises(ValueError, match="element indices"):
+        pair_to_full_bipartite(g, path2, value, EdgeLabeling((1,)))
+    with pytest.raises(ValueError, match="element indices"):
+        pair_to_full_odd(g, triangle, value, EdgeLabeling((0, 0, 0)))
 
 
 def test_rigid_mode_mismatch(path2):
