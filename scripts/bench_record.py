@@ -11,7 +11,18 @@ ones, so that a drift in the host's speed falls on both.  Each checkout
 gets one file, ``BENCH_<short-sha>.json`` in ``--out-dir``, holding the
 median and quartiles of every metric per workload, the seeds, the Python
 version and every raw result.  With two checkouts, a summary on stdout
-gives each metric's medians and how many seeds each side won.
+gives each metric's medians, how many seeds each side won and a verdict
+on the second checkout against the first, with the bounds of the
+benchmark's ``BENCHMARK.json``:
+
+gain          better in at least 9 of 10 pairs, and the medians differ by
+              more than the first checkout's interquartile range;
+regression    the median is worse than the first's by more than the bound,
+              a share of the first's median;
+unresolved    neither, and the first's interquartile range is wider than
+              the bound, unless every run of the second beats every run of
+              the first;
+within bound  anything else.
 """
 
 from __future__ import annotations
@@ -30,7 +41,6 @@ WORKLOADS = ("enumerate-stream", "large-graph", "verify-grid", "verify-large")
 # tuned, so that a gain measured here is not fitted to its seeds.
 SEEDS = tuple(range(111, 121))
 SECONDS = 15
-HIGHER_IS_BETTER = {"success_rate", "items_per_s"}
 
 
 def git(checkout: Path, *args: str) -> str:
@@ -53,11 +63,33 @@ def summary(runs: list[dict]) -> dict:
     out = {}
     for name in runs[0]["metrics"]:
         values = [r["metrics"][name]["value"] for r in runs]
-        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+        q1, q3 = quartiles(values)
         out[name] = {"median": statistics.median(values), "q1": q1, "q3": q3,
                      "unit": runs[0]["metrics"][name]["unit"]}
     out["correct"] = all(r["correct"] for r in runs)
     return out
+
+
+def quartiles(values: list[float]) -> tuple[float, float]:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return q1, q3
+
+
+def verdict(first: list[float], second: list[float], better: str, bound: float) -> str:
+    """The second side's verdict on one metric; ``first[k]`` and ``second[k]``
+    are one pair of runs."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (y - x) > 0 for x, y in zip(first, second))
+    q1, q3 = quartiles(first)
+    gain = sign * (statistics.median(second) - statistics.median(first))
+    if 10 * wins >= 9 * len(first) and gain > q3 - q1:
+        return "gain"
+    allowed = bound * abs(statistics.median(first))
+    if -gain > allowed:
+        return "regression"
+    if q3 - q1 > allowed and not min(sign * y for y in second) > max(sign * x for x in first):
+        return "unresolved"
+    return "within bound"
 
 
 def main(argv=None) -> int:
@@ -99,16 +131,18 @@ def main(argv=None) -> int:
         print(f"wrote {path}", file=sys.stderr)
 
     if len(checkouts) == 2:
+        bounds = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
         a, b = checkouts
         for w in WORKLOADS:
             for name in raw[a][w][0]["metrics"]:
                 va = [r["metrics"][name]["value"] for r in raw[a][w]]
                 vb = [r["metrics"][name]["value"] for r in raw[b][w]]
-                sign = 1 if name in HIGHER_IS_BETTER else -1
+                sign = 1 if bounds[name]["better"] == "higher" else -1
                 b_wins = sum(sign * (y - x) > 0 for x, y in zip(va, vb))
                 a_wins = sum(sign * (x - y) > 0 for x, y in zip(va, vb))
                 print(f"{w:16} {name:12} {statistics.median(va):12.6g} -> {statistics.median(vb):12.6g}"
-                      f"  second better in {b_wins}/{len(va)}, first in {a_wins}/{len(va)}")
+                      f"  second better in {b_wins}/{len(va)}, first in {a_wins}/{len(va)}"
+                      f"  {verdict(va, vb, bounds[name]['better'], bounds[name]['bound'])}")
     return 0
 
 

@@ -16,15 +16,22 @@ Graph file format::
     2 3
 
 Edge ids follow file order.  A file may name at most 1,000,000 vertices.
+
+A well-formed file (ASCII digits, spaces and tabs, ``\n`` or ``\r\n``
+line ends) is parsed in bulk: one regular-expression search for a line
+outside the format, one numpy conversion of all the integers and one range
+check.  Any other text, malformed or not, goes through the line-by-line
+parser, which reports the first bad line by its number.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
+
+import numpy as np
 
 __all__ = [
     "Digraph",
@@ -55,11 +62,15 @@ class Digraph:
             object.__setattr__(self, "edges", tuple((int(u), int(w)) for u, w in self.edges))
         if self.n_vertices < 0:
             raise ValueError(f"n_vertices must be nonnegative, got {self.n_vertices}")
-        for e, (u, w) in enumerate(self.edges):
-            if not (0 <= u < self.n_vertices and 0 <= w < self.n_vertices):
-                raise ValueError(
-                    f"edge {e} = ({u}, {w}) has a vertex outside 0..{self.n_vertices - 1}"
-                )
+        # Whole-tuple passes find whether an edge is bad; only then are the
+        # edges walked, to name the first bad one.
+        ends = list(itertools.chain.from_iterable(self.edges))
+        if set(map(len, self.edges)) - {2} or ends and (min(ends) < 0 or max(ends) >= self.n_vertices):
+            for e, (u, w) in enumerate(self.edges):
+                if not (0 <= u < self.n_vertices and 0 <= w < self.n_vertices):
+                    raise ValueError(
+                        f"edge {e} = ({u}, {w}) has a vertex outside 0..{self.n_vertices - 1}"
+                    )
 
     @property
     def n_edges(self) -> int:
@@ -93,9 +104,52 @@ _N_LINE = re.compile(r"^n\s*=\s*(\d+)$")
 # naming a huge vertex count would exhaust memory before any other check.
 _VERTEX_LIMIT = 1_000_000
 
+# The bulk parser's view of the format.  A comment runs to the next of the
+# characters that str.splitlines breaks lines at; of those, only "\n" and a
+# "\r" before it may end a line.  Indices are at most 18 digits, so that
+# they fit in an int64.  The search for a line outside the format carries
+# no state from line to line, whatever the length of the text.
+_COMMENT = re.compile("#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
+_BAD_LINE = re.compile(
+    r"^(?![ \t]*(?:[0-9]{1,18}[ \t]+[0-9]{1,18}|n[ \t]*=[ \t]*[0-9]{1,18})?[ \t]*(?:"
+    + _COMMENT.pattern
+    + r")?\r?$).",
+    re.M | re.ASCII,
+)
+
 
 def load_graph(text: str) -> Digraph:
     """Parse graph file text (see module docstring for the format)."""
+    return _load_bulk(text) or _load_lines(text)
+
+
+def _load_bulk(text: str) -> Digraph | None:
+    """The graph of a well-formed text, or None for the line parser to
+    take it (and to report the error, if there is one)."""
+    if _BAD_LINE.search(text):
+        return None
+    body = _COMMENT.sub("", text) if "#" in text else text
+    n_declared = None
+    if "n" in body:  # must be the first significant line, and the only n= line
+        head, _, body = body.lstrip().partition("\n")
+        if not head.startswith("n") or "n" in body:
+            return None
+        n_declared = int(head.partition("=")[2])
+        if n_declared > _VERTEX_LIMIT:
+            return None
+    # numpy reads a blank string as one zero.
+    ends = np.fromstring(body, dtype=np.int64, sep=" ") if body and not body.isspace() else []
+    if not len(ends):
+        return None if n_declared is None else Digraph(n_declared, ())
+    top = int(ends.max())
+    if top >= (_VERTEX_LIMIT if n_declared is None else n_declared):
+        return None
+    ends = iter(ends.tolist())  # frees the array now, and the list once paired
+    return Digraph(top + 1 if n_declared is None else n_declared, tuple(zip(ends, ends)))
+
+
+def _load_lines(text: str) -> Digraph:
+    """Parse graph file text one line at a time, naming the first bad line."""
     n_declared: int | None = None
     edges: list[tuple[int, int]] = []
     seen_significant = False
@@ -144,35 +198,48 @@ def load_graph(text: str) -> Digraph:
     return Digraph(n_declared, tuple(edges))
 
 
-def _depth_parity(d: Digraph) -> tuple[list[int], int]:
+def _weak_search(d: Digraph) -> tuple[int, bool]:
     """Breadth-first search of the underlying undirected graph, restarted
-    at each unvisited vertex: each vertex's depth parity, and the number of
-    searches (one per weak component)."""
+    at each unvisited vertex: the number of searches (one per weak
+    component) and whether the graph is bipartite.  BFS depths of adjacent
+    vertices differ by at most one, so an edge within one depth parity (a
+    loop included) closes an odd cycle."""
     nbrs: list[list[int]] = [[] for _ in range(d.n_vertices)]
     for u, w in d.edges:
         nbrs[u].append(w)
         nbrs[w].append(u)
     parity = [-1] * d.n_vertices
     searches = 0
+    bipartite = True
     for root in range(d.n_vertices):
         if parity[root] != -1:
             continue
         searches += 1
         parity[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            p = 1 - parity[v]
+        queue = [root]
+        for v in queue:  # the loop also visits what it appends
+            p = parity[v]
+            q = 1 - p
             for w in nbrs[v]:
-                if parity[w] == -1:
-                    parity[w] = p
+                x = parity[w]
+                if x == -1:
+                    parity[w] = q
                     queue.append(w)
-    return parity, searches
+                elif x == p:
+                    bipartite = False
+    return searches, bipartite
 
 
-def _strong_components(d: Digraph) -> list[int]:
-    """Tarjan's algorithm, iterative; returns vertex -> component id,
-    normalized to first appearance in vertex order."""
+def _strong_components(d: Digraph) -> tuple[list[int], int, int]:
+    """Tarjan's algorithm, iterative: vertex -> component id (normalized to
+    first appearance in vertex order), the number of components and the
+    number of edges between components.
+
+    A visited vertex is on Tarjan's stack exactly while it has no component
+    yet.  An edge into a finished component leaves the searching vertex's
+    component, which is unfinished; so does a tree edge into the root of a
+    component.  Every other edge stays inside one component.
+    """
     n = d.n_vertices
     succ: list[list[int]] = [[] for _ in range(n)]
     for u, w in d.edges:
@@ -180,55 +247,49 @@ def _strong_components(d: Digraph) -> list[int]:
 
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
     comp = [-1] * n
     stack: list[int] = []
-    counter = 0
-    n_comps = 0
+    counter = n_comps = cross = 0
 
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, iter(succ[root]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
+        path = [root]  # the search path, and an iterator over each one's successors
+        its = [iter(succ[root])]
+        while its:
+            v = path[-1]
+            for w in its[-1]:
                 if index[w] == -1:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ[w])))
-                    advanced = True
+                    path.append(w)
+                    its.append(iter(succ[w]))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = n_comps
-                    if w == v:
-                        break
-                n_comps += 1
+                if comp[w] != -1:
+                    cross += 1
+                elif index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                its.pop()
+                path.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = n_comps
+                        if w == v:
+                            break
+                    n_comps += 1
+                    cross += bool(path)
+                elif low[v] < low[path[-1]]:
+                    low[path[-1]] = low[v]
 
     # Relabel component ids by first appearance over vertex index.
-    relabel: dict[int, int] = {}
-    for v in range(n):
-        if comp[v] not in relabel:
-            relabel[comp[v]] = len(relabel)
-    return [relabel[c] for c in comp]
+    relabel = dict(zip(dict.fromkeys(comp), range(n_comps)))
+    return list(map(relabel.__getitem__, comp)), n_comps, cross
 
 
 def analyze(d: Digraph) -> StructureReport:
@@ -237,15 +298,12 @@ def analyze(d: Digraph) -> StructureReport:
     Deterministic and independent of edge order; loops make the graph
     non-bipartite.
     """
-    parity, searches = _depth_parity(d)
-    comp = _strong_components(d)
-    cross = sum(1 for u, w in d.edges if comp[u] != comp[w])
+    searches, bipartite = _weak_search(d)
+    comp, n_comps, cross = _strong_components(d)
     return StructureReport(
         weakly_connected=searches <= 1,
-        # BFS depths of adjacent vertices differ by at most one, so an edge
-        # within one parity class (a loop included) closes an odd cycle.
-        bipartite=all(parity[u] != parity[w] for u, w in d.edges),
-        scc_count=len(set(comp)),
+        bipartite=bipartite,
+        scc_count=n_comps,
         cross_scc_edges=cross,
         scc_assignment=tuple(comp),
     )

@@ -81,7 +81,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -345,7 +345,6 @@ class _Frame:
         n = self._n = d.n_vertices
         self.slots = d.n_edges + (n if target == FULL else 0)
         self._table, self._over = group.table_array, group.over_array
-        self._origins = np.array([u for u, _ in d.edges], dtype=np.intp)
         # A part is the whole graph (flexible) or one strongly connected
         # component (rigid).  Decoding reads the coordinate vector with the
         # identity appended at slot ``k``: the smallest vertex of each part
@@ -367,21 +366,22 @@ class _Frame:
             self._inverse = np.array(group.inverse, dtype=np.intp)
             if report.bipartite:
                 self._odd = np.array(self._forest[1])
+        # Part ids are numbered by first appearance, so a part's smallest
+        # vertex is where their running maximum steps up.
         k = len(self.radices)
-        slots = iter(range(self._lead, k))
-        seen: set[int] = set()
-        p = []
-        for v in range(n):
-            p.append(next(slots) if part[v] in seen else k)
-            seen.add(part[v])
-        origin_slots, endpoint_slots = [], []
-        for u, w in d.edges:
-            inside = part[u] == part[w]
-            origin_slots.append(p[u] if inside else k)
-            endpoint_slots.append(p[w] if inside else next(slots))
-        self._potential_slots = np.array(p, dtype=np.intp)
-        self._origin_slots = np.array(origin_slots, dtype=np.intp)
-        self._endpoint_slots = np.array(endpoint_slots, dtype=np.intp)
+        part = np.array(part, dtype=np.intp)
+        later = np.zeros(n, dtype=bool)
+        later[1:] = part[1:] <= np.maximum.accumulate(part)[:-1]
+        first_cross = self._lead + np.count_nonzero(later)
+        p = np.full(n, k, dtype=np.intp)
+        p[later] = np.arange(self._lead, first_cross)
+        ends = np.fromiter(chain.from_iterable(d.edges), dtype=np.intp, count=2 * d.n_edges)
+        self._origins, endpoints = ends.reshape(-1, 2).T.copy()
+        cross = part[self._origins] != part[endpoints]
+        self._potential_slots = p
+        self._origin_slots = np.where(cross, k, p[self._origins])
+        self._endpoint_slots = p[endpoints]
+        self._endpoint_slots[cross] = np.arange(first_cross, k)
 
     @cached_property
     def _forest(self):

@@ -187,6 +187,28 @@ def test_verify_budget_env(run, monkeypatch):
     assert "BG_ORACLE_BUDGET" in err
 
 
+@pytest.mark.parametrize("flag,env", [("-1", None), (None, "-5"), ("-1", "10")])
+def test_verify_negative_budget_is_a_usage_error(run, monkeypatch, flag, env):
+    if env is not None:
+        monkeypatch.setenv("BG_ORACLE_BUDGET", env)
+    args = ["verify", TRIANGLE, "--group", "cyclic:2", "--target", "full", "--mode", "flexible"]
+    if flag is not None:
+        args += ["--budget", flag]
+    code, out, err = run(*args)
+    source = "--budget" if flag is not None else "BG_ORACLE_BUDGET"
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {source} must be nonnegative\n"
+
+
+def test_verify_zero_budget_is_exceeded(run):
+    code, out, _ = run(
+        "verify", TRIANGLE, "--group", "cyclic:2", "--target", "full", "--mode", "flexible",
+        "--budget", "0",
+    )
+    assert code == EXIT_BUDGET
+    assert out.endswith("budget is 0\n")
+
+
 def test_verify_fail_exit_code(run, monkeypatch):
     monkeypatch.setattr(cli, "brute_force_count", lambda *a, **k: 999)
     code, out, _ = run("verify", TRIANGLE, "--group", "cyclic:2", "--target", "full", "--mode", "flexible")
@@ -246,6 +268,34 @@ def test_counts_beyond_the_int_to_str_limit(run, long_path):
     )
     assert (code, err) == (EXIT_OK, "")
     assert out == f"# truncated: 0 of {digits} labelings shown\n"
+
+
+@pytest.mark.parametrize(
+    "spec", ["cyclic:1", "cyclic:2", "cyclic:10", "dihedral:4", "symmetric:3", "quaternion:8",
+             "product:cyclic:2,cyclic:5"],
+)
+def test_count_decimal_from_the_factored_form(spec):
+    group = make_group(spec)
+    for s, t in [(0, 0), (0, 1), (1, 0), (1, 7), (3, 250), (0, 1000)]:
+        c = enumeration.BalancedCount.of(s, t, group)
+        assert cli._count_decimal(group, c) == str(c.value)
+
+
+def test_counts_print_without_converting_the_int(run, long_path, monkeypatch):
+    """Only the BUDGET line holds no more than an int; counts and the
+    truncation marker print from the factored form."""
+    graph, digits = long_path
+
+    def refuse(n):
+        raise AssertionError("converted the whole int")
+
+    monkeypatch.setattr(cli, "_decimal", refuse)
+    assert count_json(run, graph, "cyclic:6", "edges", "flexible")["count_decimal"] == digits
+    code, out, _ = run(
+        "enumerate", graph, "--group", "cyclic:6", "--target", "edges", "--mode", "flexible",
+        "--limit", "0",
+    )
+    assert (code, out) == (EXIT_OK, f"# truncated: 0 of {digits} labelings shown\n")
 
 
 def test_verify_budget_beyond_the_int_to_str_limit(run, long_path):

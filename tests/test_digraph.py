@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from bgains.digraph import (
     Digraph,
     GraphFormatError,
+    _load_bulk,
+    _load_lines,
     analyze,
     iter_connected_multigraphs,
     load_graph,
@@ -63,6 +66,98 @@ def test_load_errors(text, fragment):
 def test_load_at_vertex_limit():
     assert load_graph("n=1000000\n").n_vertices == 1_000_000
     assert load_graph("0 999999\n").n_vertices == 1_000_000
+
+
+# Pieces of graph file lines: (plain, odd).  A text of plain pieces is well
+# formed unless an index is out of range; each odd piece is something that
+# the bulk path must leave to the line parser.
+_INDICES = (
+    st.sampled_from([*map(str, range(13))] * 3 + ["007", "999999", "1000000", "18446744073709551617"]),
+    st.sampled_from(["-1", "+1", "1_0", "٣", "１", "x", "1.0"]),
+)
+_GAPS = (st.sampled_from([" ", "\t", "  ", " \t "]), st.sampled_from(["\xa0", "\x1f", " "]))
+_PADS = (st.sampled_from(["", " ", "\t"]), st.sampled_from(["\xa0", "\x0c"]))
+_COMMENTS = (st.sampled_from(["", "# c", "#", "# n=3", "# 1 2 3", "#\t#"]), st.sampled_from(["#\x85 5 6", "# \r 4", "# x"]))
+_ENDS = (st.sampled_from(["\n", "\r\n"]), st.sampled_from(["\r", "\x0b", "\x85", " ", " "]))
+_N_VALUES = (st.sampled_from(["0", "5", "13", "1000000"]), st.sampled_from(["1000001", "٣", "-1"]))
+_ODD_LINES = st.sampled_from(["1", "1 2 3", "n", "n=", "= 3", "a b", "0 1 # 2 \x85 3"])
+
+
+def _piece(draw, pieces, odd_share):
+    plain, odd = pieces
+    return draw(odd if draw(st.integers(0, 99)) < odd_share else plain)
+
+
+@st.composite
+def _graph_texts(draw):
+    odd_share = draw(st.sampled_from([0, 0, 5, 30]))  # percent of odd pieces
+
+    def line():
+        kind = draw(st.sampled_from(["edge"] * 12 + ["blank"] * 2 + ["n", "odd"]))
+        if kind == "edge":
+            body = _piece(draw, _INDICES, odd_share) + _piece(draw, _GAPS, odd_share) + _piece(draw, _INDICES, odd_share)
+        elif kind == "n":
+            body = "n=" + _piece(draw, _N_VALUES, odd_share)
+        elif kind == "odd" and odd_share:
+            body = draw(_ODD_LINES)
+        else:
+            body = ""
+        pad, end = _piece(draw, _PADS, odd_share), _piece(draw, _ENDS, odd_share)
+        return pad + body + pad + _piece(draw, _COMMENTS, odd_share) + end
+
+    lines = [line() for _ in range(draw(st.integers(0, 8)))]
+    if draw(st.booleans()):
+        lines.insert(0, _piece(draw, _PADS, odd_share) + "n" + _piece(draw, _PADS, odd_share) + "="
+                     + _piece(draw, _PADS, odd_share) + _piece(draw, _N_VALUES, odd_share) + "\n")
+    return "".join(lines) + draw(st.sampled_from(["", "0 1", "# tail", "\n"]))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphFormatError as exc:
+        return str(exc)
+
+
+@given(_graph_texts())
+@settings(max_examples=1500, deadline=None)
+def test_bulk_parse_matches_the_line_parser(text):
+    expected = _outcome(_load_lines, text)
+    assert _outcome(load_graph, text) == expected
+    bulk = _load_bulk(text)
+    if bulk is not None:
+        assert bulk == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "n=3\n0 1\n2 1\n",
+        "# header\n\n n = 3 # count\n0\t1  # edge\n\n2 1",
+        "0 1\r\n1 2\r\n# comment\r\n",
+        "n=4\n",
+        "n=1000000\n999999 0\n",
+        "\t007 1 \n",
+    ],
+)
+def test_well_formed_texts_take_the_bulk_path(text):
+    assert _load_bulk(text) == _load_lines(text)
+
+
+def test_load_graph_memory_is_the_graph_and_little_more():
+    """Matching the whole text with one greedy repetition would keep some
+    200 bytes of backtracking state per line."""
+    rng = random.Random(0)
+    lines = 100_000
+    text = f"n={lines}\n" + "".join(f"{rng.randrange(lines)} {rng.randrange(lines)}\n" for _ in range(lines))
+    tracemalloc.start()
+    try:
+        d = load_graph(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d.n_edges == lines
+    assert peak - kept < 50 * lines
 
 
 def test_edge_ids_follow_file_order():
@@ -141,6 +236,22 @@ def test_two_cycles_bridged():
     assert r.scc_count == 2
     assert r.cross_scc_edges == 1
     assert r.scc_assignment == (0, 0, 1, 1)
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_analyze_deep_graphs(closed):
+    """A 200,000-vertex directed path or cycle: both searches run as deep
+    as the graph without recursion."""
+    n = 200_000
+    d = Digraph(n, tuple((v, v + 1) for v in range(n - 1)) + (((n - 1, 0),) if closed else ()))
+    r = analyze(d)
+    assert r.weakly_connected and r.bipartite
+    if closed:
+        assert (r.scc_count, r.cross_scc_edges) == (1, 0)
+        assert set(r.scc_assignment) == {0}
+    else:
+        assert (r.scc_count, r.cross_scc_edges) == (n, n - 1)
+        assert r.scc_assignment == tuple(range(n))
 
 
 @st.composite
