@@ -75,10 +75,10 @@ _INDICES = (
     st.sampled_from([*map(str, range(13))] * 3 + ["007", "999999", "1000000", "18446744073709551617"]),
     st.sampled_from(["-1", "+1", "1_0", "٣", "１", "x", "1.0"]),
 )
-_GAPS = (st.sampled_from([" ", "\t", "  ", " \t "]), st.sampled_from(["\xa0", "\x1f", " "]))
+_GAPS = (st.sampled_from([" ", "\t", "  ", " \t "]), st.sampled_from(["\xa0", "\x1f", "\u2003"]))
 _PADS = (st.sampled_from(["", " ", "\t"]), st.sampled_from(["\xa0", "\x0c"]))
 _COMMENTS = (st.sampled_from(["", "# c", "#", "# n=3", "# 1 2 3", "#\t#"]), st.sampled_from(["#\x85 5 6", "# \r 4", "# x"]))
-_ENDS = (st.sampled_from(["\n", "\r\n"]), st.sampled_from(["\r", "\x0b", "\x85", " ", " "]))
+_ENDS = (st.sampled_from(["\n", "\r\n"]), st.sampled_from(["\r", "\x0b", "\x85", "\u2029", " "]))
 _N_VALUES = (st.sampled_from(["0", "5", "13", "1000000"]), st.sampled_from(["1000001", "٣", "-1"]))
 _ODD_LINES = st.sampled_from(["1", "1 2 3", "n", "n=", "= 3", "a b", "0 1 # 2 \x85 3"])
 
