@@ -34,8 +34,10 @@ keeps the last two walk families as small-integer matrices instead of
 ``ClosedWalk`` objects.  ``brute_force_count_reference`` shares none of
 them and cross-checks the oracle in the test suite.  Candidates are
 numbered lexicographically and filtered one fixed-size block at a time,
-and walks are packed and batched a fixed-size chunk at a time, so the
-budget bounds the oracle's time, not its memory.
+and walks are packed and batched a fixed-size chunk at a time, so memory
+stays bounded at any budget.  The budget caps the number of candidates,
+not the time: that also grows with the closed-walk family, which is
+factorial in the loops and parallel edges at a vertex.
 """
 
 from __future__ import annotations
@@ -78,6 +80,8 @@ EDGES = "edges"
 FULL = "full"
 
 DEFAULT_ORACLE_BUDGET = 10_000_000
+# Candidates are numbered in int64, so no budget admits a larger space.
+_CANDIDATE_LIMIT = 2**63 - 1
 
 # Candidates filtered at a time by the oracle.  Peak memory follows this,
 # not the size of the candidate space.
@@ -404,6 +408,11 @@ def _checked_total(group: FiniteGroup, d: Digraph, target: str, mode: str, budge
     total = group.order**slots
     if total > budget:
         raise OracleBudgetError(total, budget)
+    if total > _CANDIDATE_LIMIT:
+        raise ValueError(
+            f"brute force over {group.order}**{slots} candidate labelings exceeds "
+            f"the oracle's limit of 2**63 - 1 candidates"
+        )
     return slots, total
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import json
 import os
 import sys
@@ -286,8 +287,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: building it costs about
+    twenty parses."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit

@@ -16,11 +16,14 @@ Groups are built from spec strings::
                              product:cyclic:2,product:cyclic:2,cyclic:2)
     table:<path>             explicit Cayley table file, order <= 1024
 
-Every group, built in or loaded, goes through the same validation of all
-four group axioms before it is returned.  For every built-in constructor
-the identity is index 0 (``direct_product`` moves it there when a factor
-is a table group).  Tables loaded from files are taken verbatim: the
-identity is detected but never moved.
+Every built-in table is computed as one integer array by broadcasting;
+a ``table:`` file is read as rows of ints.  Either way the table goes
+through the same validation of all four group axioms once, and the group
+keeps the validated array as ``table_array`` next to the tuple ``table``
+that pure-Python callers index.  For every built-in constructor the
+identity is index 0 (``direct_product`` moves it there when a factor is a
+table group).  Tables loaded from files are taken verbatim: the identity
+is detected but never moved.
 """
 
 from __future__ import annotations
@@ -45,8 +48,9 @@ __all__ = [
     "validate_cayley_table",
 ]
 
-# Every group materializes an order^2 table as Python tuples and as arrays
-# in validation; the cap bounds that memory.
+# Every group holds its order^2 table twice, as Python tuples and as an
+# intp array, and validation makes a few more order^2 arrays; the cap
+# bounds that memory.
 _ORDER_LIMIT = 1024
 
 # Order-1 factors never reach the order cap, so product nesting is capped
@@ -99,7 +103,8 @@ class FiniteGroup:
 
     @cached_property
     def table_array(self) -> np.ndarray:
-        """``table`` as an (order, order) integer array, built on first use."""
+        """``table`` as an (order, order) intp array.  Groups from this module
+        come with the validated array; others build it on first use."""
         return np.array(self.table, dtype=np.intp)
 
     @cached_property
@@ -109,12 +114,11 @@ class FiniteGroup:
 
     def involutions(self) -> frozenset[int]:
         """Indices of all a with a*a = identity.  Always contains the identity."""
-        e = self.identity
-        return frozenset(a for a in range(self.order) if self.table[a][a] == e)
+        return frozenset(np.flatnonzero(self.table_array.diagonal() == self.identity).tolist())
 
     def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
+        t = self.table_array
+        return bool(np.array_equal(t, t.T))
 
 
 def validate_cayley_table(table, *, source: str = "cayley table") -> tuple[int, tuple[int, ...]]:
@@ -124,9 +128,15 @@ def validate_cayley_table(table, *, source: str = "cayley table") -> tuple[int, 
     identity, inverses -- and the first violation raises GroupAxiomError
     naming the axiom and the offending indices.
     """
+    _, identity, inverse = _validated(table, source)
+    return identity, inverse
+
+
+def _validated(table, source: str) -> tuple[np.ndarray, int, tuple[int, ...]]:
+    """``validate_cayley_table``, also returning the table as an intp array."""
     # Let numpy infer the type, so that floats and huge integers are refused, not cast.
     try:
-        t = np.array(table)
+        t = np.asarray(table)
     except ValueError:
         raise GroupAxiomError(f"{source}: table rows differ in length") from None
     if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
@@ -140,6 +150,7 @@ def validate_cayley_table(table, *, source: str = "cayley table") -> tuple[int, 
             f"{source}: entry at row {bad[0]}, column {bad[1]} is {t[bad[0], bad[1]]}, "
             f"outside 0..{n - 1}"
         )
+    array = t.astype(np.intp, copy=False)
     # The narrowest type that holds 0..n-1 makes the order^2 gathers below
     # several times faster than int64.
     t = t.astype(np.min_scalar_type(n - 1))
@@ -203,19 +214,25 @@ def validate_cayley_table(table, *, source: str = "cayley table") -> tuple[int, 
         if hits.size != 1 or t[hits[0], a] != e:
             raise GroupAxiomError(f"{source}: inverse axiom fails: element {a} has no two-sided inverse")
         inverse.append(int(hits[0]))
-    return e, tuple(inverse)
+    return array, e, tuple(inverse)
 
 
 def _finalize(name, table, names) -> FiniteGroup:
-    identity, inverse = validate_cayley_table(table, source=name)
-    return FiniteGroup(
+    """Validate ``table``, an integer array or rows of ints, and keep it both
+    ways: as tuples and as the validated array."""
+    array, identity, inverse = _validated(table, name)
+    rows = table.tolist() if isinstance(table, np.ndarray) else table
+    group = FiniteGroup(
         name=name,
-        order=len(table),
-        table=table,
+        order=len(rows),
+        table=tuple(map(tuple, rows)),
         identity=identity,
         inverse=inverse,
         element_names=names,
     )
+    # Fill the cached_property's slot with the array validated above.
+    group.__dict__["table_array"] = array
+    return group
 
 
 def _check_order(kind: str, order: int) -> None:
@@ -227,8 +244,8 @@ def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupSpecError(f"cyclic:n requires n >= 1, got {n}")
     _check_order("cyclic", n)
-    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    return _finalize(f"cyclic:{n}", table, tuple(str(i) for i in range(n)))
+    k = np.arange(n)
+    return _finalize(f"cyclic:{n}", (k[:, None] + k) % n, tuple(map(str, range(n))))
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -236,16 +253,10 @@ def dihedral_group(n: int) -> FiniteGroup:
     if n < 3:
         raise GroupSpecError(f"dihedral:n requires n >= 3, got {n}")
     _check_order("dihedral", 2 * n)
-
-    # Element k is x -> x+k on Z_n, element n+k is x -> -x+k; composition of maps.
-    def compose(a: int, b: int) -> int:
-        fa, ka = (a >= n, a % n)
-        fb, kb = (b >= n, b % n)
-        flip = fa ^ fb
-        k = (ka + kb) % n if not fa else (ka - kb) % n
-        return n * flip + k
-
-    table = tuple(tuple(compose(a, b) for b in range(2 * n)) for a in range(2 * n))
+    # Element k is x -> x+k on Z_n, element n+k is x -> -x+k; a*b maps x to a(b(x)).
+    a, b = np.arange(2 * n)[:, None], np.arange(2 * n)
+    flips = a >= n
+    table = n * (flips ^ (b >= n)) + np.where(flips, a - b, a + b) % n
     names = tuple(f"r{k}" for k in range(n)) + tuple(f"s{k}" for k in range(n))
     return _finalize(f"dihedral:{n}", table, names)
 
@@ -258,31 +269,22 @@ def symmetric_group(n: int) -> FiniteGroup:
     if not 1 <= n <= 5:
         raise GroupSpecError(f"symmetric:n requires 1 <= n <= 5, got {n}")
     perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = tuple(
-        tuple(index[tuple(p[q[i]] for i in range(n))] for q in perms) for p in perms
-    )
-    names = tuple("".join(str(x) for x in p) for p in perms)
+    p = np.array(perms)
+    composed = p[np.arange(len(perms))[:, None, None], p]  # composed[a, b] = p[a] after p[b]
+    # Read as base-n numbers, one-line forms sort in lexicographic order.
+    place = n ** np.arange(n - 1, -1, -1)
+    table = np.searchsorted(p @ place, composed @ place)
+    names = tuple("".join(map(str, q)) for q in perms)
     return _finalize(f"symmetric:{n}", table, names)
 
 
 def quaternion_group() -> FiniteGroup:
     """Q8 as {1, -1, i, -i, j, -j, k, -k} in that index order."""
-    # unit part 0..3 = 1, i, j, k; sign carried separately.
-    unit_mul = {
-        (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
-        (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
-        (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
-        (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
-    }
-
-    def mul(a: int, b: int) -> int:
-        sa, ua = (-1 if a % 2 else 1), a // 2
-        sb, ub = (-1 if b % 2 else 1), b // 2
-        s, u = unit_mul[(ua, ub)]
-        return 2 * u + (0 if sa * sb * s > 0 else 1)
-
-    table = tuple(tuple(mul(a, b) for b in range(8)) for a in range(8))
+    # Element 2u + s is (-1)^s times unit u of 1, i, j, k.  Units multiply
+    # as u ^ v (i*j = k and so on) with a sign flip where negate[u, v].
+    negate = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
+    a, b = np.arange(8)[:, None], np.arange(8)
+    table = 2 * ((a >> 1) ^ (b >> 1)) + (((a ^ b) & 1) ^ negate[a >> 1, b >> 1])
     names = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
     return _finalize("quaternion:8", table, names)
 
@@ -295,16 +297,13 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     _check_order("product", n)
     nh = h.order
     e = g.identity * nh + h.identity
-    old_of_new = [e] + [a for a in range(n) if a != e]
-    new_of_old = [0] * n
-    for new, old in enumerate(old_of_new):
-        new_of_old[old] = new
-    pairs = [divmod(a, nh) for a in old_of_new]
-    table = tuple(
-        tuple(new_of_old[g.table[a1][b1] * nh + h.table[a2][b2]] for b1, b2 in pairs)
-        for a1, a2 in pairs
+    old_of_new = np.r_[e, np.delete(np.arange(n), e)]
+    a1, a2 = np.divmod(old_of_new, nh)
+    old_table = g.table_array[np.ix_(a1, a1)] * nh + h.table_array[np.ix_(a2, a2)]
+    table = np.argsort(old_of_new)[old_table]
+    names = tuple(
+        f"({g.element_names[x]},{h.element_names[y]})" for x, y in zip(a1.tolist(), a2.tolist())
     )
-    names = tuple(f"({g.element_names[a1]},{h.element_names[a2]})" for a1, a2 in pairs)
     return _finalize(f"product:{g.name},{h.name}", table, names)
 
 
@@ -354,9 +353,7 @@ def load_cayley_table(path: str) -> FiniteGroup:
     if len(rows) != order:
         raise GroupSpecError(f"{path}: expected {order} table rows, got {len(rows)}")
 
-    name = f"table:{path}"
-    names = tuple(str(i) for i in range(order))
-    return _finalize(name, tuple(tuple(r) for r in rows), names)
+    return _finalize(f"table:{path}", rows, tuple(map(str, range(order))))
 
 
 def make_group(spec: str) -> FiniteGroup:

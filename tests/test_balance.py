@@ -3,6 +3,7 @@
 import ast
 import itertools
 import random
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -306,6 +307,20 @@ def test_brute_force_budget(triangle):
     assert "46656" in str(exc.value)
     with pytest.raises(OracleBudgetError):
         brute_force_count_reference(s3, triangle, FULL, FLEXIBLE, budget=100)
+
+
+@pytest.mark.parametrize("oracle", [brute_force_count, brute_force_labelings, brute_force_count_reference])
+@pytest.mark.parametrize("edges", [63, 64])
+def test_candidate_space_past_int64_is_refused(oracle, edges):
+    # Candidates are numbered in int64: 2**63 of them are refused under any
+    # budget that admits them, and a smaller budget is still exceeded first.
+    c2 = make_group("cyclic:2")
+    path = Digraph(edges + 1, tuple((v, v + 1) for v in range(edges)))
+    message = f"brute force over 2**{edges} candidate labelings exceeds the oracle's limit of 2**63 - 1"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        oracle(c2, path, EDGES, RIGID, budget=10**29)
+    with pytest.raises(OracleBudgetError):
+        oracle(c2, path, EDGES, RIGID, budget=10)
 
 
 def test_vectorized_oracle_matches_reference(groups):

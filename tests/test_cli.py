@@ -209,6 +209,21 @@ def test_verify_zero_budget_is_exceeded(run):
     assert out.endswith("budget is 0\n")
 
 
+def test_verify_candidate_space_past_int64_is_a_usage_error(run, tmp_path):
+    # 2**64 candidates: within the budget, beyond the oracle's int64 numbering.
+    path = tmp_path / "path64.txt"
+    path.write_text("n=65\n" + "".join(f"{v} {v + 1}\n" for v in range(64)))
+    code, out, err = run(
+        "verify", str(path), "--group", "cyclic:2", "--target", "edges", "--mode", "rigid",
+        "--budget", "100000000000000000000000000000",
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        "error: brute force over 2**64 candidate labelings exceeds "
+        "the oracle's limit of 2**63 - 1 candidates\n"
+    )
+
+
 def test_verify_fail_exit_code(run, monkeypatch):
     monkeypatch.setattr(cli, "brute_force_count", lambda *a, **k: 999)
     code, out, _ = run("verify", TRIANGLE, "--group", "cyclic:2", "--target", "full", "--mode", "flexible")
@@ -470,6 +485,18 @@ def test_group_info_refuses_a_table_entry_past_int64(run, tmp_path):
 
 
 # ------------------------------------------------------------ exit codes
+
+
+def test_main_builds_the_parser_once(run, monkeypatch):
+    real = cli.build_parser
+    assert real() is not real()
+    builds = []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    for spec in ("cyclic:2", "cyclic:3"):
+        assert run("group-info", "--group", spec)[0] == EXIT_OK
+    assert run("no-such-command")[0] == EXIT_USAGE
+    assert len(builds) == 1
 
 
 def test_usage_errors_exit_one(run):

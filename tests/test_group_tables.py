@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from bgains.groups import make_group
@@ -57,12 +58,16 @@ SPECS = (
 )
 
 
+def build(spec: str):
+    return make_group(spec.replace("table:F", f"table:{TABLE_F}"))
+
+
 def sha256(value) -> str:
     return hashlib.sha256(json.dumps(value).encode()).hexdigest()
 
 
 def record(spec: str) -> dict:
-    g = make_group(spec.replace("table:F", f"table:{TABLE_F}"))
+    g = build(spec)
     return {
         "spec": spec,
         "order": g.order,
@@ -83,6 +88,19 @@ def test_pin_covers_every_spec():
 @pytest.mark.parametrize("expected", PINNED_RECORDS, ids=lambda r: r["spec"])
 def test_group_table_matches_pin(expected):
     assert record(expected["spec"]) == expected
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_array_views_agree_with_the_tuple_table(spec):
+    g = build(spec)
+    # The validated array comes with the group, not rebuilt from the tuples.
+    assert "table_array" in vars(g)
+    n, t = g.order, g.table
+    assert g.table_array.dtype == np.intp
+    assert g.table_array.tolist() == [[t[a][b] for b in range(n)] for a in range(n)]
+    assert g.over_array.tolist() == [[g.mul(g.inv(a), b) for b in range(n)] for a in range(n)]
+    assert g.involutions() == {a for a in range(n) if t[a][a] == g.identity}
+    assert g.is_abelian() == all(t[a][b] == t[b][a] for a in range(n) for b in range(n))
 
 
 if __name__ == "__main__":
