@@ -411,7 +411,7 @@ def _checked_total(group: FiniteGroup, d: Digraph, target: str, mode: str, budge
     if total > _CANDIDATE_LIMIT:
         raise ValueError(
             f"brute force over {group.order}**{slots} candidate labelings exceeds "
-            f"the oracle's limit of 2**63 - 1 candidates"
+            "the oracle's limit of 2**63 - 1 candidates"
         )
     return slots, total
 
