@@ -30,14 +30,14 @@ definitional: every candidate is checked against every closed walk.  The
 only liberties taken are columnar evaluation with numpy; a batched tail,
 which checks the few candidates a block has left against all remaining
 walks at once instead of walk by walk; and a compact walk cache, which
-keeps the last two walk families as small-integer matrices instead of
-``ClosedWalk`` objects.  ``brute_force_count_reference`` shares none of
-them and cross-checks the oracle in the test suite.  Candidates are
-numbered lexicographically and filtered one fixed-size block at a time,
-and walks are packed and batched a fixed-size chunk at a time, so memory
-stays bounded at any budget.  The budget caps the number of candidates,
-not the time: that also grows with the closed-walk family, which is
-factorial in the loops and parallel edges at a vertex.
+keeps the last two walk families as one matrix of edge uses per (graph,
+mode) instead of ``ClosedWalk`` objects.  ``brute_force_count_reference``
+shares none of them and cross-checks the oracle in the test suite.
+Candidates are numbered lexicographically and filtered one fixed-size
+block at a time, and walks are packed and batched a fixed-size chunk at
+a time, so memory stays bounded at any budget.  The budget caps the
+number of candidates, not the time: that also grows with the closed-walk
+family, which is factorial in the loops and parallel edges at a vertex.
 """
 
 from __future__ import annotations
@@ -292,11 +292,11 @@ def all_closed_walks(d: Digraph, mode: str = FLEXIBLE) -> Iterator[ClosedWalk]:
 
 
 class _WalkFamily(NamedTuple):
-    """A mode's closed walks as padded small-integer matrices, one row per
+    """A mode's closed walks as one padded matrix of edge uses, one row per
     walk, shortest first.  ``uses[w, j]`` is ``edge + n_edges*reverse`` of
-    step j; entries past ``lengths[w]`` are padding."""
+    step j, which also fixes where the step starts; entries past
+    ``lengths[w]`` are padding."""
 
-    vertices: np.ndarray
     uses: np.ndarray
     lengths: np.ndarray
 
@@ -311,48 +311,22 @@ def _walk_family(d: Digraph, mode: str) -> _WalkFamily:
     (cheapest pruning first).  They are packed ``_WALK_CHUNK`` at a time,
     so their ``ClosedWalk`` objects are never all alive at once."""
     n_edges = d.n_edges
-    types = (
-        np.min_scalar_type(max(d.n_vertices - 1, 0)),
-        np.min_scalar_type(max(2 * n_edges - 1, 0)),
-    )
-    parts: list[tuple[np.ndarray, np.ndarray]] = []
+    # Uses reach 2*n_edges - 1 and lengths 2*n_edges, so one type holds both.
+    kind = np.min_scalar_type(2 * n_edges)
+    flat = [np.empty(0, dtype=kind)]
     lengths: list[int] = []
     walks = all_closed_walks(d, mode)
     while chunk := list(itertools.islice(walks, _WALK_CHUNK)):
-        sizes = np.array([len(w) for w in chunk])
-        filled = np.arange(sizes.max()) < sizes[:, None]
-        flat = (
-            [v for w in chunk for v in w.vertices],
-            [edge + n_edges * reverse for w in chunk for edge, reverse in w.steps],
-        )
-        parts.append(tuple(_scatter(filled, x, t) for x, t in zip(flat, types)))
-        lengths += sizes.tolist()
-    width = max((p[0].shape[1] for p in parts), default=0)
-    walk_lengths = np.array(lengths, dtype=np.min_scalar_type(width))
+        flat.append(np.array([e + n_edges * r for w in chunk for e, r in w.steps], dtype=kind))
+        lengths += [len(w) for w in chunk]
+    walk_lengths = np.array(lengths, dtype=kind)
+    uses = np.zeros((len(lengths), walk_lengths.max(initial=0)), dtype=kind)
+    uses[np.arange(uses.shape[1]) < walk_lengths[:, None]] = np.concatenate(flat)
     rows = np.argsort(walk_lengths, kind="stable")
-    vertices, uses = (_stack([p[i] for p in parts], rows, width, t) for i, t in enumerate(types))
-    family = _WalkFamily(vertices, uses, walk_lengths[rows])
+    family = _WalkFamily(uses[rows], walk_lengths[rows])
     for array in family:
         array.flags.writeable = False
     return family
-
-
-def _scatter(filled: np.ndarray, values: list[int], dtype) -> np.ndarray:
-    """A zero matrix shaped like ``filled`` with ``values`` written, in
-    row-major order, where ``filled`` is true."""
-    out = np.zeros(filled.shape, dtype=dtype)
-    out[filled] = values
-    return out
-
-
-def _stack(parts: list[np.ndarray], rows: np.ndarray, width: int, dtype) -> np.ndarray:
-    """The parts, zero-padded to ``width`` columns, stacked and reordered."""
-    out = np.zeros((len(rows), width), dtype=dtype)
-    top = 0
-    for part in parts:
-        out[top : top + len(part), : part.shape[1]] = part
-        top += len(part)
-    return out[rows]
 
 
 def is_balanced_edges(group: FiniteGroup, d: Digraph, f: EdgeLabeling) -> bool:
@@ -446,7 +420,9 @@ def _schedule(family: _WalkFamily, d: Digraph, target: str) -> np.ndarray:
         uses += d.n_vertices
         uses[family.uses >= d.n_edges] += d.n_vertices
         schedule = np.empty((uses.shape[0], 2 * uses.shape[1]), dtype=kind)
-        schedule[:, 0::2] = family.vertices
+        # A forward use starts at its edge's origin, a reverse one at its endpoint.
+        origins, endpoints = np.array(d.edges, dtype=kind).reshape(-1, 2).T
+        schedule[:, 0::2] = np.concatenate([origins, endpoints])[family.uses]
         schedule[:, 1::2] = uses
         padding = padding.repeat(2, axis=1)
     else:

@@ -180,7 +180,8 @@ def cmd_enumerate(args) -> int:
     group = make_group(args.group)
     d = _load_graph_file(args.graph)
     lines = enumerate_all(group, d, args.target, args.mode, tokens=_tokens(group, args.show_elements))
-    shown = lines if args.limit is None else islice(lines, args.limit)
+    # islice stops at sys.maxsize at most; no stream gets that far.
+    shown = lines if args.limit is None else islice(lines, min(args.limit, sys.maxsize))
     # One write per block's worth of values keeps the text in memory bounded.
     width = d.n_edges + (d.n_vertices if args.target == FULL else 0)
     per_write = max(1, BLOCK_VALUES // max(1, width))

@@ -156,22 +156,15 @@ def _validated(table, source: str) -> tuple[np.ndarray, int, tuple[int, ...]]:
     t = t.astype(np.min_scalar_type(n - 1))
 
     idx = np.arange(n)
-    if not np.array_equal(np.sort(t, axis=1), np.broadcast_to(idx, t.shape)):
-        for i in range(n):
-            counts = np.bincount(t[i], minlength=n)
-            if counts.max() > 1:
-                v = int(np.argmax(counts))
-                raise GroupAxiomError(
-                    f"{source}: latin square axiom fails: row {i} repeats element {v}"
-                )
-    if not np.array_equal(np.sort(t, axis=0), np.broadcast_to(idx[:, None], t.shape)):
-        for j in range(n):
-            counts = np.bincount(t[:, j], minlength=n)
-            if counts.max() > 1:
-                v = int(np.argmax(counts))
-                raise GroupAxiomError(
-                    f"{source}: latin square axiom fails: column {j} repeats element {v}"
-                )
+    for lines, line in ((t, "row"), (t.T, "column")):
+        if not np.array_equal(np.sort(lines, axis=1), np.broadcast_to(idx, t.shape)):
+            for i in range(n):
+                counts = np.bincount(lines[i], minlength=n)
+                if counts.max() > 1:
+                    v = int(np.argmax(counts))
+                    raise GroupAxiomError(
+                        f"{source}: latin square axiom fails: {line} {i} repeats element {v}"
+                    )
 
     # Light's test (Clifford & Preston, Algebraic Theory of Semigroups I,
     # 1.2): g passes when (a*g)*b == a*(g*b) for all a, b.  Passing elements

@@ -386,6 +386,28 @@ def test_oracle_schedule_indexes_past_the_budget_bound():
     assert brute_force_count(make_group("cyclic:1"), cycle, FULL, RIGID) == 1
 
 
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.txt")), ids=lambda p: p.name)
+def test_schedule_rows_follow_the_sorted_walks(path):
+    # Built from the walks by hand: per step the start vertex's slot (full
+    # target only), then the edge's slot, shifted by ``slots`` when the step
+    # is reversed; the identity ``2*slots`` pads short rows.
+    d = load_graph(path.read_text())
+    for mode in (FLEXIBLE, RIGID):
+        walks = sorted(all_closed_walks(d, mode), key=len)
+        for target in (EDGES, FULL):
+            shift = d.n_vertices if target == FULL else 0
+            slots = shift + d.n_edges
+            schedule = balance._schedule(balance._walk_family(d, mode), d, target)
+            assert len(schedule) == len(walks)
+            for row, walk in zip(schedule.tolist(), walks):
+                expected = []
+                for v, (edge, reverse) in zip(walk.vertices, walk.steps):
+                    expected += [v] if target == FULL else []
+                    expected.append(shift + edge + slots * reverse)
+                expected += [2 * slots] * (len(row) - len(expected))
+                assert row == expected, (mode, target, walk)
+
+
 def test_walk_cache_is_compact():
     # Four loops at one vertex have 16,072 flexible closed walks.
     g = make_group("cyclic:3")
@@ -498,3 +520,22 @@ def test_oracle_and_walk_checks_import_nothing_from_enumeration():
         todo += [m for m in bgains_imports(module) - reached if (SRC / f"{m}.py").exists()]
     assert "enumeration" not in reached
     assert {"balance", "digraph", "groups"} <= reached
+
+
+def test_oracle_fast_path_and_reference_share_no_walk_code():
+    # brute_force_count_reference and _walk_ops cross-check the oracle's
+    # walk cache and schedules, so neither side may name the other's code.
+    tree = ast.parse((SRC / "balance.py").read_text())
+    defs = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+
+    def named(name):
+        nodes = list(ast.walk(defs[name]))
+        return {n.id for n in nodes if isinstance(n, ast.Name)} | {
+            n.attr for n in nodes if isinstance(n, ast.Attribute)
+        }
+
+    fast = {"_walk_family", "_WalkFamily", "_schedule", "_filter_blocks", "_survivor_blocks"}
+    for name in ("brute_force_count_reference", "_walk_ops"):
+        assert not named(name) & fast, name
+    for name in fast:
+        assert not named(name) & {"_walk_ops", "_fold_edges", "_fold_full"}, name

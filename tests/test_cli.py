@@ -348,6 +348,15 @@ def test_enumerate_limit_not_reached_prints_no_marker(run):
     assert len(out.splitlines()) == 4 and "#" not in out
 
 
+def test_enumerate_limit_past_sys_maxsize(run):
+    code, out, err = run(
+        "enumerate", TRIANGLE, "--group", "cyclic:2", "--target", "edges", "--mode", "flexible",
+        "--limit", str(10**30),
+    )
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines() == ["0 0 0", "0 1 1", "1 1 0", "1 0 1"]
+
+
 def test_enumerate_show_elements(run):
     code, out, _ = run(
         "enumerate", PATH2, "--group", "symmetric:3", "--target", "edges", "--mode", "flexible",
