@@ -156,14 +156,14 @@ def _validated(table, source: str) -> tuple[np.ndarray, int, tuple[int, ...]]:
     t = t.astype(np.min_scalar_type(n - 1))
 
     idx = np.arange(n)
-    for lines, line in ((t, "row"), (t.T, "column")):
+    for lines, name in ((t, "row"), (t.T, "column")):
         if not np.array_equal(np.sort(lines, axis=1), np.broadcast_to(idx, t.shape)):
             for i in range(n):
                 counts = np.bincount(lines[i], minlength=n)
                 if counts.max() > 1:
                     v = int(np.argmax(counts))
                     raise GroupAxiomError(
-                        f"{source}: latin square axiom fails: {line} {i} repeats element {v}"
+                        f"{source}: latin square axiom fails: {name} {i} repeats element {v}"
                     )
 
     # Light's test (Clifford & Preston, Algebraic Theory of Semigroups I,
