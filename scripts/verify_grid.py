@@ -4,8 +4,9 @@
 For every weakly connected multigraph up to the given size (loops and
 parallel edges included), every group, and all four (target, mode)
 combinations, the closed-form count must equal the brute-force oracle
-count exactly.  Instances whose candidate space exceeds the oracle budget
-are reported and skipped.  Exits 1 on any mismatch.
+count exactly.  Instances that the oracle refuses are reported and
+skipped: a candidate space over the budget or past its int64 numbering,
+or a closed-walk family past its walk limit.  Exits 1 on any mismatch.
 
     python3 scripts/verify_grid.py                          # default grid
     python3 scripts/verify_grid.py --max-vertices 3 --max-edges 4
@@ -13,6 +14,7 @@ are reported and skipped.  Exits 1 on any mismatch.
 """
 
 import argparse
+import decimal
 import sys
 import time
 
@@ -64,8 +66,12 @@ def main() -> int:
                     skipped += 1
                     print(
                         f"skip {d.edges} {group.name} {target}/{mode}: "
-                        f"needs {exc.required} candidates"
+                        f"needs {decimal.Decimal(exc.required)} candidates"
                     )
+                    continue
+                except ValueError as exc:
+                    skipped += 1
+                    print(f"skip {d.edges} {group.name} {target}/{mode}: {exc}")
                     continue
                 checked += 1
                 if expected != observed:

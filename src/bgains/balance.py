@@ -33,11 +33,18 @@ walks at once instead of walk by walk; and a compact walk cache, which
 keeps the last two walk families as one matrix of edge uses per (graph,
 mode) instead of ``ClosedWalk`` objects.  ``brute_force_count_reference``
 shares none of them and cross-checks the oracle in the test suite.
-Candidates are numbered lexicographically and filtered one fixed-size
-block at a time, and walks are packed and batched a fixed-size chunk at
-a time, so memory stays bounded at any budget.  The budget caps the
-number of candidates, not the time: that also grows with the closed-walk
-family, which is factorial in the loops and parallel edges at a vertex.
+
+Candidates are numbered lexicographically, as mixed-radix numbers, and
+filtered one block of ``order**k`` consecutive candidates at a time:
+within a block the leading digits are constant and the k trailing ones
+run over one digit grid, built once per call, so no digit is decoded by
+division.  Each step multiplies a column of products by a column of
+digits with one gather from the flat Cayley table, premultiplied by the
+order.  Walks are packed and batched a fixed-size chunk at a time, so
+memory stays bounded at any budget.  The budget caps the number of
+candidates; the closed-walk family, factorial in the loops and parallel
+edges at a vertex, has its own limit of ``_WALK_LIMIT`` walks, past which
+the oracle raises ValueError before it filters any candidate.
 """
 
 from __future__ import annotations
@@ -83,14 +90,20 @@ DEFAULT_ORACLE_BUDGET = 10_000_000
 # Candidates are numbered in int64, so no budget admits a larger space.
 _CANDIDATE_LIMIT = 2**63 - 1
 
-# Candidates filtered at a time by the oracle.  Peak memory follows this,
-# not the size of the candidate space.
+# Most candidates filtered at a time by the oracle: a block is the largest
+# power of the group order within it.  Peak memory follows this, not the
+# size of the candidate space.
 _BLOCK_SIZE = 1 << 16
 # Once at most this many candidates of a block are alive, the oracle checks
 # all remaining walks at once instead of walk by walk.
 _BATCH_BELOW = 32
 # Walks packed into the walk cache, and checked by a batch, at a time.
 _WALK_CHUNK = 1 << 10
+# Closed walks the oracle packs before it refuses the instance.  The budget
+# counts candidates only, and the walk family is factorial in the loops and
+# parallel edges at a vertex: four loops give 16,072 flexible walks, eight
+# give too many to generate in any reasonable time.
+_WALK_LIMIT = 1 << 17
 
 
 class WalkError(ValueError):
@@ -155,6 +168,27 @@ class FullLabeling:
 
     def __post_init__(self):
         _check_mode(self.mode)
+
+
+# The library builds labelings by the million (oracle survivors, enumeration
+# streams) under a mode it has checked once, so these set the fields as the
+# dataclass ``__init__`` does but skip the mode check of ``__post_init__``.
+# The result equals, hashes and prints like a publicly built labeling.  Not
+# through ``__dict__``: reading it gives each instance a dict of its own,
+# about 60 bytes more per labeling.
+def _edge_labeling(values: tuple[int, ...], mode: str) -> EdgeLabeling:
+    labeling = object.__new__(EdgeLabeling)
+    object.__setattr__(labeling, "values", values)
+    object.__setattr__(labeling, "mode", mode)
+    return labeling
+
+
+def _full_labeling(vertex_values: tuple[int, ...], edge_values: tuple[int, ...], mode: str) -> FullLabeling:
+    labeling = object.__new__(FullLabeling)
+    object.__setattr__(labeling, "vertex_values", vertex_values)
+    object.__setattr__(labeling, "edge_values", edge_values)
+    object.__setattr__(labeling, "mode", mode)
+    return labeling
 
 
 @dataclass(frozen=True)
@@ -309,7 +343,10 @@ class _WalkFamily(NamedTuple):
 def _walk_family(d: Digraph, mode: str) -> _WalkFamily:
     """The walks of ``all_closed_walks``, stably sorted shortest first
     (cheapest pruning first).  They are packed ``_WALK_CHUNK`` at a time,
-    so their ``ClosedWalk`` objects are never all alive at once."""
+    so their ``ClosedWalk`` objects are never all alive at once.
+
+    Raises ValueError once more than ``_WALK_LIMIT`` walks are packed.
+    """
     n_edges = d.n_edges
     # Uses reach 2*n_edges - 1 and lengths 2*n_edges, so one type holds both.
     kind = np.min_scalar_type(2 * n_edges)
@@ -319,6 +356,10 @@ def _walk_family(d: Digraph, mode: str) -> _WalkFamily:
     while chunk := list(itertools.islice(walks, _WALK_CHUNK)):
         flat.append(np.array([e + n_edges * r for w in chunk for e, r in w.steps], dtype=kind))
         lengths += [len(w) for w in chunk]
+        if len(lengths) > _WALK_LIMIT:
+            raise ValueError(
+                f"brute force over more than {_WALK_LIMIT} closed walks exceeds the oracle's walk limit"
+            )
     walk_lengths = np.array(lengths, dtype=kind)
     uses = np.zeros((len(lengths), walk_lengths.max(initial=0)), dtype=kind)
     uses[np.arange(uses.shape[1]) < walk_lengths[:, None]] = np.concatenate(flat)
@@ -393,7 +434,7 @@ def _checked_total(group: FiniteGroup, d: Digraph, target: str, mode: str, budge
 def _survivor_blocks(group, d, target, mode, budget) -> tuple[np.ndarray, Iterator[np.ndarray]]:
     """Place value of each slot's digit in the lexicographic candidate
     number, and the indices of balanced labelings in that order, one array
-    per block of ``_BLOCK_SIZE`` consecutive candidates.
+    per block of at most ``_BLOCK_SIZE`` consecutive candidates.
 
     Raises OracleBudgetError here, before any block is filtered.
     """
@@ -431,7 +472,27 @@ def _schedule(family: _WalkFamily, d: Digraph, target: str) -> np.ndarray:
     return schedule
 
 
+# The grids of the last few (order, k) pairs: a sweep such as
+# scripts/verify_grid.py makes thousands of small oracle calls over one group.
+@lru_cache(maxsize=8)
+def _digit_grid(order: int, k: int) -> np.ndarray:
+    """Row j holds digit j, most significant first, of the k-digit
+    base-``order`` numbers 0 .. order**k - 1, in the smallest unsigned type."""
+    grid = np.indices((order,) * k, dtype=np.min_scalar_type(order - 1)).reshape(k, order**k)
+    grid.flags.writeable = False
+    return grid
+
+
 def _filter_blocks(group, d, target, mode, powers, total) -> Iterator[np.ndarray]:
+    """The survivors of ``_survivor_blocks``, one array per block.
+
+    A block is ``order**k`` consecutive candidates.  Candidate numbers are
+    mixed-radix numbers, so within a block the ``slots - k`` leading digits
+    are constant and the k trailing ones run over one grid, built once: a
+    step on a leading slot is a scalar, a step on a trailing one reads a
+    grid row.  A product is held times ``order``, so that one gather from
+    the flat table ``step`` multiplies it by a digit.
+    """
     table = group.table_array
     inverse = np.asarray(group.inverse, dtype=np.intp)
     order, e, slots = group.order, group.identity, len(powers)
@@ -440,22 +501,51 @@ def _filter_blocks(group, d, target, mode, powers, total) -> Iterator[np.ndarray
     n_walks = len(schedule)
     # Schedule entries per walk; rows are sorted, so a chunk's last is its widest.
     widths = family.lengths.astype(np.intp) * (2 if target == FULL else 1)
-    for start in range(0, total, _BLOCK_SIZE):
-        alive = np.arange(start, min(start + _BLOCK_SIZE, total), dtype=np.int64)
+    # The trivial group would put every slot in the grid, past the 64
+    # dimensions np.indices accepts; its one candidate needs no grid.
+    k = 0
+    while order > 1 and k < slots and order ** (k + 1) <= _BLOCK_SIZE:
+        k += 1
+    lead, size = slots - k, order**k
+    # The trailing digits, then in flexible mode their inverses.
+    grids = [_digit_grid(order, k)]
+    if mode == FLEXIBLE:
+        grids.append(inverse.astype(grids[0].dtype)[grids[0]])
+    step = (table * order).ravel()
+    unit = np.intp(e * order)
+    for number, head in enumerate(itertools.product(range(order), repeat=lead)):
+        start = number * size
+        # Alive candidates as grid rows; None while the whole block is alive.
+        # ``columns`` holds each entry's alive digits until a walk prunes.
+        rows, alive_count, columns = None, size, {}
         # While many candidates are alive, each walk prunes them before the
-        # next is checked; a slot's digits are decoded when a walk uses it.
+        # next is checked.
         walk = 0
-        while walk < n_walks and alive.size > _BATCH_BELOW:
-            digits: dict[int, np.ndarray] = {}
-            acc = np.full(alive.shape, e, dtype=np.intp)
+        while walk < n_walks and alive_count > _BATCH_BELOW:
+            acc = unit
             for entry in schedule[walk, : widths[walk]].tolist():
                 slot = entry % slots
-                vals = digits.get(slot)
+                if slot < lead:
+                    x = head[slot]
+                    acc = step.take(acc + (inverse[x] if entry >= slots else x))
+                    continue
+                vals = columns.get(entry)
                 if vals is None:
-                    vals = digits[slot] = (alive // powers[slot]) % order
-                acc = table[acc, inverse[vals] if entry >= slots else vals]
-            alive = alive[acc == e]
+                    vals = grids[entry >= slots][slot - lead]
+                    vals = columns[entry] = vals if rows is None else vals[rows]
+                # intp plus the compact digits stays intp: the index reaches order**2.
+                acc = step.take(acc + vals)
+            keep = acc == unit
+            if keep.ndim == 0:  # the walk read leading slots only
+                keep = np.full(alive_count, keep)
+            if not keep.all():
+                rows = np.flatnonzero(keep) if rows is None else rows[keep]
+                alive_count, columns = rows.size, {}
             walk += 1
+        if rows is None:
+            alive = np.arange(start, start + size, dtype=np.int64)
+        else:
+            alive = start + rows.astype(np.int64, copy=False)
         # Few are left: check them against the remaining walks together, one
         # gather per schedule column, a chunk of walks at a time.
         if walk < n_walks and alive.size:
@@ -504,7 +594,7 @@ def brute_force_labelings(
     if target == EDGES:
         for alive in blocks:
             rows = ((alive[:, None] // powers) % order).tolist()
-            out.extend(EdgeLabeling(tuple(r), mode) for r in rows)
+            out.extend(_edge_labeling(tuple(r), mode) for r in rows)
         return out
     # A full labeling's vertex values and edge values are the high and the
     # low digits of its candidate number.  Survivors repeat few distinct
@@ -517,7 +607,7 @@ def brute_force_labelings(
     edge_values = _DigitTuples(powers[n:], order)
     for alive in blocks:
         halves = zip((alive // low).tolist(), (alive % low).tolist())
-        out.extend(FullLabeling(vertex_values[hi], edge_values[lo], mode) for hi, lo in halves)
+        out.extend(_full_labeling(vertex_values[hi], edge_values[lo], mode) for hi, lo in halves)
     return out
 
 

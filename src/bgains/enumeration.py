@@ -86,7 +86,18 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .balance import EDGES, FLEXIBLE, FULL, RIGID, EdgeLabeling, FullLabeling, _check_mode, _check_target
+from .balance import (
+    EDGES,
+    FLEXIBLE,
+    FULL,
+    RIGID,
+    EdgeLabeling,
+    FullLabeling,
+    _check_mode,
+    _check_target,
+    _edge_labeling,
+    _full_labeling,
+)
 from .digraph import Digraph, StructureReport, analyze
 from .groups import FiniteGroup
 
@@ -428,8 +439,8 @@ class _Frame:
         """The labelings whose values are the rows of ``values``."""
         mode, n = self._mode, self._n
         if self._target == EDGES:
-            return (EdgeLabeling(tuple(row), mode) for row in values.tolist())
-        return (FullLabeling(tuple(row[:n]), tuple(row[n:]), mode) for row in values.tolist())
+            return (_edge_labeling(tuple(row), mode) for row in values.tolist())
+        return (_full_labeling(tuple(row[:n]), tuple(row[n:]), mode) for row in values.tolist())
 
     def decode(self, coords) -> EdgeLabeling | FullLabeling:
         x = np.array([(*coords, self._group.identity)], dtype=np.intp)

@@ -364,18 +364,36 @@ def test_walk_by_walk_and_batched_phases_match_reference(monkeypatch, batch_belo
     _check_oracle_on_data_graphs()
 
 
-def _check_oracle_on_data_graphs():
-    c3 = make_group("cyclic:3")
+@pytest.mark.parametrize("batch_below", [0, 32], ids=["never-batch", "batch-32"])
+@pytest.mark.parametrize("spec", ["cyclic:3", "symmetric:3"])
+@pytest.mark.parametrize("block_size", [1, 3, 7, 2**16])
+def test_block_edges_match_reference_and_enumeration(monkeypatch, block_size, spec, batch_below):
+    # A block is order**k candidates with order**k <= _BLOCK_SIZE: sizes 1
+    # and 3 leave every digit leading (one-candidate blocks, or three-row
+    # grids for cyclic:3), 7 gives a one-digit grid, and 2**16 puts each
+    # space admitted here in one block.
+    monkeypatch.setattr(balance, "_BLOCK_SIZE", block_size)
+    monkeypatch.setattr(balance, "_BATCH_BELOW", batch_below)
+    # One-candidate blocks cost the oracle about 0.1 ms each, so the spaces
+    # stop at 8,000 candidates: cycle4's full labelings over cyclic:3 and
+    # theta's edge labelings over symmetric:3 are the largest checked.
+    _check_oracle_on_data_graphs(make_group(spec), budget=8_000)
+
+
+def _check_oracle_on_data_graphs(group=None, budget=None):
+    group = group or make_group("cyclic:3")
     for path in sorted(DATA.glob("*.txt")):
         d = load_graph(path.read_text())
         for target in (EDGES, FULL):
+            if budget is not None and group.order ** balance._slot_count(d, target) > budget:
+                continue
             for mode in (FLEXIBLE, RIGID):
                 case = (path.name, target, mode)
-                assert brute_force_count(c3, d, target, mode) == brute_force_count_reference(
-                    c3, d, target, mode
+                assert brute_force_count(group, d, target, mode) == brute_force_count_reference(
+                    group, d, target, mode
                 ), case
-                expected = sorted(enumerate_all(c3, d, target, mode), key=_candidate_digits)
-                assert brute_force_labelings(c3, d, target, mode) == expected, case
+                expected = sorted(enumerate_all(group, d, target, mode), key=_candidate_digits)
+                assert brute_force_labelings(group, d, target, mode) == expected, case
 
 
 def test_oracle_schedule_indexes_past_the_budget_bound():
@@ -406,6 +424,33 @@ def test_schedule_rows_follow_the_sorted_walks(path):
                     expected.append(shift + edge + slots * reverse)
                 expected += [2 * slots] * (len(row) - len(expected))
                 assert row == expected, (mode, target, walk)
+
+
+def test_oracle_refuses_past_the_walk_limit(monkeypatch):
+    # Four loops have 16,072 flexible closed walks and only 81 candidates.
+    g = make_group("cyclic:3")
+    four = Digraph(1, ((0, 0),) * 4)
+    monkeypatch.setattr(balance, "_WALK_LIMIT", 16_072)
+    assert brute_force_count(g, four, EDGES, FLEXIBLE) == 1
+    balance._walk_family.cache_clear()
+    monkeypatch.setattr(balance, "_WALK_LIMIT", 16_071)
+    message = "brute force over more than 16071 closed walks exceeds the oracle's walk limit"
+    for oracle in (brute_force_count, brute_force_labelings):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            oracle(g, four, EDGES, FLEXIBLE)
+    # The budget is still checked first, before any walk.
+    with pytest.raises(OracleBudgetError):
+        brute_force_count(g, four, EDGES, FLEXIBLE, budget=80)
+
+
+def test_eight_loops_are_refused_at_the_default_walk_limit():
+    # 256 candidates, far inside the budget; the flexible walk family is
+    # too large to generate, so the oracle stops at the limit.
+    eight = Digraph(1, ((0, 0),) * 8)
+    with pytest.raises(ValueError, match="walk limit"):
+        brute_force_count(make_group("cyclic:2"), eight, EDGES, FLEXIBLE)
+    # The rigid family is 2**8 - 1 walks: one per nonempty set of loops.
+    assert brute_force_count(make_group("cyclic:2"), eight, EDGES, RIGID) == 1
 
 
 def test_walk_cache_is_compact():
@@ -444,6 +489,50 @@ def test_brute_force_labelings_are_balanced_and_distinct(groups, triangle):
     assert len(labs) == len(set(labs))
     assert len(labs) == brute_force_count(g, triangle, FULL, FLEXIBLE)
     assert all(is_balanced_full(g, triangle, h) for h in labs)
+
+
+def test_library_built_labelings_equal_public_ones(triangle):
+    # The oracle and the enumeration build labelings without re-checking
+    # their mode; each must equal, hash and print like a public one.
+    g = make_group("symmetric:3")
+    for target in (EDGES, FULL):
+        for mode in (FLEXIBLE, RIGID):
+            built = brute_force_labelings(g, triangle, target, mode) + list(
+                enumerate_all(g, triangle, target, mode)
+            )
+            assert built
+            for labeling in built:
+                if target == EDGES:
+                    public = EdgeLabeling(labeling.values, mode)
+                else:
+                    public = FullLabeling(labeling.vertex_values, labeling.edge_values, mode)
+                assert type(labeling) is type(public)
+                assert labeling == public
+                assert hash(labeling) == hash(public)
+                assert repr(labeling) == repr(public)
+    with pytest.raises(ValueError, match="mode"):
+        EdgeLabeling((0,), "loose")
+    with pytest.raises(ValueError, match="mode"):
+        FullLabeling((0,), (), "loose")
+
+
+def test_library_built_labelings_take_no_more_memory_than_public_ones():
+    # A per-instance dict would add about 60 bytes to each of the millions
+    # of labelings the oracle and the enumeration hold.
+    def held(build):
+        tracemalloc.start()
+        try:
+            kept = [build((0, 1, 2), (2, 1), RIGID) for _ in range(10_000)]
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == 10_000
+        return size
+
+    assert held(balance._full_labeling) <= 1.05 * held(FullLabeling)
+    assert held(lambda v, e, mode: balance._edge_labeling(e, mode)) <= 1.05 * held(
+        lambda v, e, mode: EdgeLabeling(e, mode)
+    )
 
 
 def test_labeling_shape_mismatch(triangle):

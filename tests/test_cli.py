@@ -224,6 +224,20 @@ def test_verify_candidate_space_past_int64_is_a_usage_error(run, tmp_path):
     )
 
 
+def test_verify_past_the_walk_limit_is_a_usage_error(tmp_path):
+    # 256 candidates but a factorial closed-walk family: the oracle refuses
+    # it at the walk limit instead of running for minutes.
+    loops = tmp_path / "loops8.txt"
+    loops.write_text("n=1\n" + "0 0\n" * 8)
+    argv = ["verify", str(loops), "--group", "cyclic:2", "--target", "edges", "--mode", "flexible"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "bgains", *argv], capture_output=True, text=True, timeout=30
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+    assert proc.stderr.count("error:") == 1
+    assert proc.stderr.startswith("error: brute force over more than 131072 closed walks")
+
+
 def test_verify_fail_exit_code(run, monkeypatch):
     monkeypatch.setattr(cli, "brute_force_count", lambda *a, **k: 999)
     code, out, _ = run("verify", TRIANGLE, "--group", "cyclic:2", "--target", "full", "--mode", "flexible")
