@@ -37,8 +37,8 @@ shares none of them and cross-checks the oracle in the test suite.
 Candidates are numbered lexicographically, as mixed-radix numbers, and
 filtered one block of ``order**k`` consecutive candidates at a time:
 within a block the leading digits are constant and the k trailing ones
-run over one digit grid, built once per call, so no digit is decoded by
-division.  Each step multiplies a column of products by a column of
+run over one digit grid, shared by every block, so no digit is decoded
+by division.  Each step multiplies a column of products by a column of
 digits with one gather from the flat Cayley table, premultiplied by the
 order.  Walks are packed and batched a fixed-size chunk at a time, so
 memory stays bounded at any budget.  The budget caps the number of
@@ -438,9 +438,9 @@ def _survivor_blocks(group, d, target, mode, budget) -> tuple[np.ndarray, Iterat
 
     Raises OracleBudgetError here, before any block is filtered.
     """
-    slots, total = _checked_total(group, d, target, mode, budget)
+    slots, _ = _checked_total(group, d, target, mode, budget)
     powers = np.array([group.order ** (slots - 1 - s) for s in range(slots)], dtype=np.int64)
-    return powers, _filter_blocks(group, d, target, mode, powers, total)
+    return powers, _filter_blocks(group, d, target, mode, powers)
 
 
 def _schedule(family: _WalkFamily, d: Digraph, target: str) -> np.ndarray:
@@ -483,14 +483,14 @@ def _digit_grid(order: int, k: int) -> np.ndarray:
     return grid
 
 
-def _filter_blocks(group, d, target, mode, powers, total) -> Iterator[np.ndarray]:
+def _filter_blocks(group, d, target, mode, powers) -> Iterator[np.ndarray]:
     """The survivors of ``_survivor_blocks``, one array per block.
 
     A block is ``order**k`` consecutive candidates.  Candidate numbers are
     mixed-radix numbers, so within a block the ``slots - k`` leading digits
-    are constant and the k trailing ones run over one grid, built once: a
-    step on a leading slot is a scalar, a step on a trailing one reads a
-    grid row.  A product is held times ``order``, so that one gather from
+    are constant and the k trailing ones run over one grid that every
+    block shares: a step on a leading slot is a scalar, a step on a
+    trailing one reads a grid row.  A product is held times ``order``, so that one gather from
     the flat table ``step`` multiplies it by a digit.
     """
     table = group.table_array
