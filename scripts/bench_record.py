@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Record the benchmark's end-to-end metrics in BENCH_<short-sha>.json.
 
-    python3 scripts/bench_record.py CHECKOUT [CHECKOUT] [--out-dir DIR]
+    python3 scripts/bench_record.py CHECKOUT [CHECKOUT] [--out-dir DIR] [--seeds N ...]
 
 Runs ``bench/run.py --seconds 15 --trace 0`` from each checkout (a source
 tree with a ``bench/`` directory, usually a clone at one commit) on every
-workload and seed.  Given two checkouts, it alternates them: the first one
-named runs first on even positions of the seed list, the second on odd
-ones, so that a drift in the host's speed falls on both.  Each checkout
+workload and seed, 111-120 unless ``--seeds`` names others.  Given two
+checkouts, it alternates them: the first one named runs first on even
+positions of the seed list, the second on odd ones, so that a drift in the
+host's speed falls on both.  Each checkout
 gets one file, ``BENCH_<short-sha>.json`` in ``--out-dir``, holding the
 median and quartiles of every metric per workload, the seeds, the Python
 version and every raw result.  With two checkouts, a summary on stdout
@@ -96,6 +97,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkouts", nargs="+", type=Path, help="one or two source checkouts")
     parser.add_argument("--out-dir", type=Path, default=ROOT)
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS),
+                        help=f"seeds to run, one pair each (default {SEEDS[0]}-{SEEDS[-1]})")
     args = parser.parse_args(argv)
     if len(args.checkouts) > 2:
         parser.error("give one or two checkouts")
@@ -105,7 +108,7 @@ def main(argv=None) -> int:
             parser.error(f"{c} has no bench/run.py")
 
     raw = {c: {w: [] for w in WORKLOADS} for c in checkouts}
-    for k, seed in enumerate(SEEDS):
+    for k, seed in enumerate(args.seeds):
         order = checkouts if k % 2 == 0 else checkouts[::-1]
         for workload in WORKLOADS:
             for c in order:
@@ -122,7 +125,7 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "machine": platform.machine(),
             "command": f"bench/run.py --seconds {SECONDS} --trace 0",
-            "seeds": list(SEEDS),
+            "seeds": args.seeds,
             "workloads": {w: summary(runs) for w, runs in raw[c].items()},
             "runs": raw[c],
         }

@@ -13,10 +13,11 @@ the component structure.
 """
 
 import argparse
+import decimal
 import sys
 
 from bgains.balance import EDGES, FLEXIBLE, FULL, RIGID
-from bgains.digraph import Digraph, analyze
+from bgains.digraph import Digraph
 from bgains.enumeration import count
 from bgains.groups import make_group
 
@@ -46,7 +47,8 @@ def factored(result, group) -> str:
     if result.t:
         parts.append(f"{group.order}^{result.t}")
     formula = " * ".join(parts) if parts else "1"
-    return f"{formula} = {result.value}"
+    # decimal, unlike str, prints counts past the int-to-str digit limit.
+    return f"{formula} = {decimal.Decimal(result.value)}"
 
 
 def main() -> int:
@@ -65,16 +67,18 @@ def main() -> int:
     for name, build in FAMILIES:
         for n in range(max(args.min_size, 2), args.max_size + 1):
             d = build(n)
-            report = analyze(d)
+            results = [[count(group, d, target, mode) for target, mode in COMBOS] for group in groups]
+            # Every count carries the structure report it was read from.
+            report = results[0][0].report
             shape = "bipartite" if report.bipartite else "odd"
             print(
                 f"{name} n={n}: {d.n_edges} edges, {shape}, "
                 f"{report.scc_count} components, {report.cross_scc_edges} cross edges"
             )
-            for group in groups:
+            for group, row in zip(groups, results):
                 cells = "   ".join(
-                    f"{target}/{mode}: {factored(count(group, d, target, mode), group)}"
-                    for target, mode in COMBOS
+                    f"{target}/{mode}: {factored(result, group)}"
+                    for (target, mode), result in zip(COMBOS, row)
                 )
                 print(f"  {group.name:<14} {cells}")
         print()

@@ -27,24 +27,26 @@ The brute-force functions enumerate every candidate labeling (all
 ``order**slots`` of them) and keep those that pass every walk.  They are
 the library's independent check on the closed-form counts, so they stay
 definitional: every candidate is checked against every closed walk.  The
-only liberties taken are columnar evaluation with numpy; a batched tail,
-which checks the few candidates a block has left against all remaining
-walks at once instead of walk by walk; and a compact walk cache, which
-keeps the last two walk families as one matrix of edge uses per (graph,
-mode) instead of ``ClosedWalk`` objects.  ``brute_force_count_reference``
-shares none of them and cross-checks the oracle in the test suite.
+only liberties taken are columnar evaluation with numpy, several walks
+per gather once few candidates are alive, and a compact walk cache,
+which keeps the last two walk families as one matrix of edge uses per
+(graph, mode) instead of ``ClosedWalk`` objects.
+``brute_force_count_reference`` shares none of them and cross-checks the
+oracle in the test suite.
 
 Candidates are numbered lexicographically, as mixed-radix numbers, and
 filtered one block of ``order**k`` consecutive candidates at a time:
 within a block the leading digits are constant and the k trailing ones
 run over one digit grid, shared by every block, so no digit is decoded
-by division.  Each step multiplies a column of products by a column of
-digits with one gather from the flat Cayley table, premultiplied by the
-order.  Walks are packed and batched a fixed-size chunk at a time, so
-memory stays bounded at any budget.  The budget caps the number of
-candidates; the closed-walk family, factorial in the loops and parallel
-edges at a vertex, has its own limit of ``_WALK_LIMIT`` walks, past which
-the oracle raises ValueError before it filters any candidate.
+by division.  Each step multiplies the products of a chunk of walks by
+their digits with one gather from the flat Cayley table, premultiplied
+by the order.  A chunk is ``_WALK_CHUNK // alive`` walks wide, so a full
+block goes walk by walk and the chunks widen as candidates die; memory
+stays bounded by the block and the chunk at any budget.  The budget caps
+the number of candidates; the closed-walk family, factorial in the loops
+and parallel edges at a vertex, has its own limit of ``_WALK_LIMIT``
+walks, past which the oracle raises ValueError before it filters any
+candidate.
 """
 
 from __future__ import annotations
@@ -94,10 +96,9 @@ _CANDIDATE_LIMIT = 2**63 - 1
 # power of the group order within it.  Peak memory follows this, not the
 # size of the candidate space.
 _BLOCK_SIZE = 1 << 16
-# Once at most this many candidates of a block are alive, the oracle checks
-# all remaining walks at once instead of walk by walk.
-_BATCH_BELOW = 32
-# Walks packed into the walk cache, and checked by a batch, at a time.
+# Walks packed into the walk cache at a time.  The oracle checks walks in
+# chunks of about this many products: ``_WALK_CHUNK // alive`` walks, at
+# least one, where ``alive`` counts a block's candidates still alive.
 _WALK_CHUNK = 1 << 10
 # Closed walks the oracle packs before it refuses the instance.  The budget
 # counts candidates only, and the walk family is factorial in the loops and
@@ -340,12 +341,13 @@ class _WalkFamily(NamedTuple):
 # back (scripts/verify_grid.py, the acceptance sweep), which needs the
 # graph's flexible and rigid families and no other.
 @lru_cache(maxsize=2)
-def _walk_family(d: Digraph, mode: str) -> _WalkFamily:
+def _walk_family(d: Digraph, mode: str) -> _WalkFamily | None:
     """The walks of ``all_closed_walks``, stably sorted shortest first
     (cheapest pruning first).  They are packed ``_WALK_CHUNK`` at a time,
     so their ``ClosedWalk`` objects are never all alive at once.
 
-    Raises ValueError once more than ``_WALK_LIMIT`` walks are packed.
+    None once more than ``_WALK_LIMIT`` walks are packed: a refusal is
+    cached like a family, so the other target does not enumerate again.
     """
     n_edges = d.n_edges
     # Uses reach 2*n_edges - 1 and lengths 2*n_edges, so one type holds both.
@@ -357,9 +359,7 @@ def _walk_family(d: Digraph, mode: str) -> _WalkFamily:
         flat.append(np.array([e + n_edges * r for w in chunk for e, r in w.steps], dtype=kind))
         lengths += [len(w) for w in chunk]
         if len(lengths) > _WALK_LIMIT:
-            raise ValueError(
-                f"brute force over more than {_WALK_LIMIT} closed walks exceeds the oracle's walk limit"
-            )
+            return None
     walk_lengths = np.array(lengths, dtype=kind)
     uses = np.zeros((len(lengths), walk_lengths.max(initial=0)), dtype=kind)
     uses[np.arange(uses.shape[1]) < walk_lengths[:, None]] = np.concatenate(flat)
@@ -440,7 +440,7 @@ def _survivor_blocks(group, d, target, mode, budget) -> tuple[np.ndarray, Iterat
     """
     slots, _ = _checked_total(group, d, target, mode, budget)
     powers = np.array([group.order ** (slots - 1 - s) for s in range(slots)], dtype=np.int64)
-    return powers, _filter_blocks(group, d, target, mode, powers)
+    return powers, _filter_blocks(group, d, target, mode, slots)
 
 
 def _schedule(family: _WalkFamily, d: Digraph, target: str) -> np.ndarray:
@@ -483,20 +483,25 @@ def _digit_grid(order: int, k: int) -> np.ndarray:
     return grid
 
 
-def _filter_blocks(group, d, target, mode, powers) -> Iterator[np.ndarray]:
+def _filter_blocks(group, d, target, mode, slots) -> Iterator[np.ndarray]:
     """The survivors of ``_survivor_blocks``, one array per block.
 
     A block is ``order**k`` consecutive candidates.  Candidate numbers are
     mixed-radix numbers, so within a block the ``slots - k`` leading digits
-    are constant and the k trailing ones run over one grid that every
-    block shares: a step on a leading slot is a scalar, a step on a
-    trailing one reads a grid row.  A product is held times ``order``, so that one gather from
-    the flat table ``step`` multiplies it by a digit.
+    are constant and the k trailing ones run over one grid that every block
+    shares.  A block is one matrix of extended rows, ``[digits | inverse
+    digits | identity]`` as ``_schedule`` indexes them, with one column per
+    alive candidate.  Walks are checked a chunk at a time, the chunk
+    widening as candidates die, and dead columns are dropped after any
+    chunk that prunes.  A product is held times ``order``, so that one
+    gather from the flat table ``step`` multiplies it by a digit.
     """
-    table = group.table_array
-    inverse = np.asarray(group.inverse, dtype=np.intp)
-    order, e, slots = group.order, group.identity, len(powers)
+    order, e = group.order, group.identity
     family = _walk_family(d, mode)
+    if family is None:
+        raise ValueError(
+            f"brute force over more than {_WALK_LIMIT} closed walks exceeds the oracle's walk limit"
+        )
     schedule = _schedule(family, d, target)
     n_walks = len(schedule)
     # Schedule entries per walk; rows are sorted, so a chunk's last is its widest.
@@ -507,60 +512,37 @@ def _filter_blocks(group, d, target, mode, powers) -> Iterator[np.ndarray]:
     while order > 1 and k < slots and order ** (k + 1) <= _BLOCK_SIZE:
         k += 1
     lead, size = slots - k, order**k
-    # The trailing digits, then in flexible mode their inverses.
-    grids = [_digit_grid(order, k)]
-    if mode == FLEXIBLE:
-        grids.append(inverse.astype(grids[0].dtype)[grids[0]])
-    step = (table * order).ravel()
+    grid = _digit_grid(order, k)
+    inverse = np.array(group.inverse, dtype=grid.dtype)
+    full = np.empty((2 * slots + 1, size), dtype=grid.dtype)
+    full[lead:slots] = grid
+    full[slots + lead : 2 * slots] = inverse[grid]
+    full[2 * slots] = e
+    step = (group.table_array * order).ravel()
     unit = np.intp(e * order)
     for number, head in enumerate(itertools.product(range(order), repeat=lead)):
         start = number * size
-        # Alive candidates as grid rows; None while the whole block is alive.
-        # ``columns`` holds each entry's alive digits until a walk prunes.
-        rows, alive_count, columns = None, size, {}
-        # While many candidates are alive, each walk prunes them before the
-        # next is checked.
-        walk = 0
-        while walk < n_walks and alive_count > _BATCH_BELOW:
+        values = np.array(head, dtype=full.dtype)[:, None]
+        full[:lead] = values
+        full[slots : slots + lead] = inverse[values]
+        # Alive candidates as grid columns; None while the whole block is alive.
+        digits, alive, walk = full, None, 0
+        while walk < n_walks and digits.shape[1]:
+            stop = min(n_walks, walk + max(1, _WALK_CHUNK // digits.shape[1]))
             acc = unit
-            for entry in schedule[walk, : widths[walk]].tolist():
-                slot = entry % slots
-                if slot < lead:
-                    x = head[slot]
-                    acc = step.take(acc + (inverse[x] if entry >= slots else x))
-                    continue
-                vals = columns.get(entry)
-                if vals is None:
-                    vals = grids[entry >= slots][slot - lead]
-                    vals = columns[entry] = vals if rows is None else vals[rows]
+            for column in schedule[walk:stop, : widths[stop - 1]].T:
                 # intp plus the compact digits stays intp: the index reaches order**2.
-                acc = step.take(acc + vals)
-            keep = acc == unit
-            if keep.ndim == 0:  # the walk read leading slots only
-                keep = np.full(alive_count, keep)
+                acc = step.take(acc + digits[column])
+            keep = (acc == unit).all(axis=0)
             if not keep.all():
-                rows = np.flatnonzero(keep) if rows is None else rows[keep]
-                alive_count, columns = rows.size, {}
-            walk += 1
-        if rows is None:
-            alive = np.arange(start, start + size, dtype=np.int64)
+                kept = np.flatnonzero(keep)
+                alive = kept if alive is None else alive[kept]
+                digits = digits[:, kept]
+            walk = stop
+        if alive is None:
+            yield np.arange(start, start + size, dtype=np.int64)
         else:
-            alive = start + rows.astype(np.int64, copy=False)
-        # Few are left: check them against the remaining walks together, one
-        # gather per schedule column, a chunk of walks at a time.
-        if walk < n_walks and alive.size:
-            rows = (alive[:, None] // powers) % order
-            rows = np.concatenate([rows, inverse[rows], np.full((alive.size, 1), e)], axis=1)
-            for first in range(walk, n_walks, _WALK_CHUNK):
-                last = min(first + _WALK_CHUNK, n_walks)
-                acc = np.full((alive.size, last - first), e, dtype=np.intp)
-                for column in schedule[first:last, : widths[last - 1]].T:
-                    acc = table[acc, rows[:, column]]
-                keep = (acc == e).all(axis=1)
-                alive, rows = alive[keep], rows[keep]
-                if not alive.size:
-                    break
-        yield alive
+            yield start + alive.astype(np.int64, copy=False)
 
 
 def brute_force_count(

@@ -355,25 +355,30 @@ def test_small_blocks_match_reference_and_enumeration(monkeypatch):
     _check_oracle_on_data_graphs()
 
 
-@pytest.mark.parametrize("batch_below", [0, 10**9], ids=["never-batch", "batch-first"])
-def test_walk_by_walk_and_batched_phases_match_reference(monkeypatch, batch_below):
-    # Each phase alone must give the same survivors: filtering walk by walk
-    # to the end, or checking every walk in the batch from the first one.
+# The two extremes of the walk chunk, which is _WALK_CHUNK // alive walks
+# wide: one walk per chunk whatever is alive, or every walk in the first.
+WALK_CHUNKS = pytest.mark.parametrize("walk_chunk", [1, 10**9], ids=["walk-by-walk", "all-walks"])
+
+
+@WALK_CHUNKS
+def test_walk_by_walk_and_batched_phases_match_reference(monkeypatch, walk_chunk):
+    # Either extreme alone must give the same survivors: pruning after each
+    # walk to the end, or checking every walk at once from the first one.
     monkeypatch.setattr(balance, "_BLOCK_SIZE", 7)
-    monkeypatch.setattr(balance, "_BATCH_BELOW", batch_below)
+    monkeypatch.setattr(balance, "_WALK_CHUNK", walk_chunk)
     _check_oracle_on_data_graphs()
 
 
-@pytest.mark.parametrize("batch_below", [0, 32], ids=["never-batch", "batch-32"])
+@WALK_CHUNKS
 @pytest.mark.parametrize("spec", ["cyclic:3", "symmetric:3"])
 @pytest.mark.parametrize("block_size", [1, 3, 7, 2**16])
-def test_block_edges_match_reference_and_enumeration(monkeypatch, block_size, spec, batch_below):
+def test_block_edges_match_reference_and_enumeration(monkeypatch, block_size, spec, walk_chunk):
     # A block is order**k candidates with order**k <= _BLOCK_SIZE: sizes 1
-    # and 3 leave every digit leading (one-candidate blocks, or three-row
+    # and 3 leave every digit leading (one-candidate blocks, or three-column
     # grids for cyclic:3), 7 gives a one-digit grid, and 2**16 puts each
     # space admitted here in one block.
     monkeypatch.setattr(balance, "_BLOCK_SIZE", block_size)
-    monkeypatch.setattr(balance, "_BATCH_BELOW", batch_below)
+    monkeypatch.setattr(balance, "_WALK_CHUNK", walk_chunk)
     # One-candidate blocks cost the oracle about 0.1 ms each, so the spaces
     # stop at 8,000 candidates: cycle4's full labelings over cyclic:3 and
     # theta's edge labelings over symmetric:3 are the largest checked.
@@ -441,6 +446,29 @@ def test_oracle_refuses_past_the_walk_limit(monkeypatch):
     # The budget is still checked first, before any walk.
     with pytest.raises(OracleBudgetError):
         brute_force_count(g, four, EDGES, FLEXIBLE, budget=80)
+    # A refusal is cached, and the tests that follow run at the default limit.
+    balance._walk_family.cache_clear()
+
+
+def test_a_refused_walk_family_is_enumerated_once(monkeypatch):
+    # Three loops have 415 flexible closed walks; both targets read one family.
+    g = make_group("cyclic:2")
+    three = Digraph(1, ((0, 0),) * 3)
+    calls = []
+
+    def counted(d, mode):
+        calls.append(mode)
+        return all_closed_walks(d, mode)
+
+    balance._walk_family.cache_clear()
+    monkeypatch.setattr(balance, "all_closed_walks", counted)
+    monkeypatch.setattr(balance, "_WALK_LIMIT", 414)
+    message = "brute force over more than 414 closed walks exceeds the oracle's walk limit"
+    for target in (EDGES, FULL):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            brute_force_count(g, three, target, FLEXIBLE)
+    assert calls == [FLEXIBLE]
+    balance._walk_family.cache_clear()
 
 
 def test_eight_loops_are_refused_at_the_default_walk_limit():
