@@ -489,11 +489,11 @@ def _filter_blocks(group, d, target, mode, slots) -> Iterator[np.ndarray]:
     A block is ``order**k`` consecutive candidates.  Candidate numbers are
     mixed-radix numbers, so within a block the ``slots - k`` leading digits
     are constant and the k trailing ones run over one grid that every block
-    shares.  A block is one matrix of extended rows, ``[digits | inverse
-    digits | identity]`` as ``_schedule`` indexes them, with one column per
-    alive candidate.  Walks are checked a chunk at a time, the chunk
-    widening as candidates die, and dead columns are dropped after any
-    chunk that prunes.  A product is held times ``order``, so that one
+    shares.  The block is held as one matrix of extended rows, ``[digits |
+    inverse digits | identity]`` as ``_schedule`` indexes them, with one
+    column per alive candidate.  Walks are checked a chunk at a time, the
+    chunk widening as candidates die, and dead columns are dropped after
+    any chunk that prunes.  A product is held times ``order``, so that one
     gather from the flat table ``step`` multiplies it by a digit.
     """
     order, e = group.order, group.identity
@@ -514,19 +514,22 @@ def _filter_blocks(group, d, target, mode, slots) -> Iterator[np.ndarray]:
     lead, size = slots - k, order**k
     grid = _digit_grid(order, k)
     inverse = np.array(group.inverse, dtype=grid.dtype)
-    full = np.empty((2 * slots + 1, size), dtype=grid.dtype)
-    full[lead:slots] = grid
-    full[slots + lead : 2 * slots] = inverse[grid]
-    full[2 * slots] = e
+    block = np.empty((2 * slots + 1, size), dtype=grid.dtype)
+    block[lead:slots] = grid
+    block[slots + lead : 2 * slots] = inverse[grid]
+    block[2 * slots] = e
     step = (group.table_array * order).ravel()
     unit = np.intp(e * order)
     for number, head in enumerate(itertools.product(range(order), repeat=lead)):
         start = number * size
-        values = np.array(head, dtype=full.dtype)[:, None]
-        full[:lead] = values
-        full[slots : slots + lead] = inverse[values]
+        # The leading digits and their inverses are constant in the block.
+        # They are broadcast in the matrix's own type: a casting broadcast
+        # costs many times more.
+        values = np.array(head, dtype=block.dtype)[:, None]
+        block[:lead] = values
+        block[slots : slots + lead] = inverse[values]
         # Alive candidates as grid columns; None while the whole block is alive.
-        digits, alive, walk = full, None, 0
+        digits, alive, walk = block, None, 0
         while walk < n_walks and digits.shape[1]:
             stop = min(n_walks, walk + max(1, _WALK_CHUNK // digits.shape[1]))
             acc = unit

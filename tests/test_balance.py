@@ -355,21 +355,19 @@ def test_small_blocks_match_reference_and_enumeration(monkeypatch):
     _check_oracle_on_data_graphs()
 
 
-# The two extremes of the walk chunk, which is _WALK_CHUNK // alive walks
-# wide: one walk per chunk whatever is alive, or every walk in the first.
-WALK_CHUNKS = pytest.mark.parametrize("walk_chunk", [1, 10**9], ids=["walk-by-walk", "all-walks"])
-
-
-@WALK_CHUNKS
+@pytest.mark.parametrize("walk_chunk", [1, 10**9], ids=["never-batch", "batch-first"])
 def test_walk_by_walk_and_batched_phases_match_reference(monkeypatch, walk_chunk):
-    # Either extreme alone must give the same survivors: pruning after each
-    # walk to the end, or checking every walk at once from the first one.
+    # A chunk is _WALK_CHUNK // alive walks wide, at least one.  Either
+    # extreme alone must give the same survivors: one walk per chunk whatever
+    # is alive, or every walk in the first chunk.
     monkeypatch.setattr(balance, "_BLOCK_SIZE", 7)
     monkeypatch.setattr(balance, "_WALK_CHUNK", walk_chunk)
     _check_oracle_on_data_graphs()
 
 
-@WALK_CHUNKS
+# Between the two extremes, 32 batches walks once at most 16 candidates of
+# a block are alive, so chunks widen part way through a block.
+@pytest.mark.parametrize("walk_chunk", [1, 32, 10**9], ids=["never-batch", "batch-32", "batch-first"])
 @pytest.mark.parametrize("spec", ["cyclic:3", "symmetric:3"])
 @pytest.mark.parametrize("block_size", [1, 3, 7, 2**16])
 def test_block_edges_match_reference_and_enumeration(monkeypatch, block_size, spec, walk_chunk):
