@@ -490,8 +490,8 @@ def _filter_blocks(group, d, target, mode, slots) -> Iterator[np.ndarray]:
     mixed-radix numbers, so within a block the ``slots - k`` leading digits
     are constant and the k trailing ones run over one grid that every block
     shares.  The block is held as one matrix of extended rows, ``[digits |
-    inverse digits | identity]`` as ``_schedule`` indexes them, with one
-    column per alive candidate.  Walks are checked a chunk at a time, the
+    inverse digits | identity]`` as ``_schedule`` indexes them (rigid mode
+    leaves out the inverse rows), with one column per alive candidate.  Walks are checked a chunk at a time, the
     chunk widening as candidates die, and dead columns are dropped after
     any chunk that prunes.  A product is held times ``order``, so that one
     gather from the flat table ``step`` multiplies it by a digit.
@@ -503,6 +503,11 @@ def _filter_blocks(group, d, target, mode, slots) -> Iterator[np.ndarray]:
             f"brute force over more than {_WALK_LIMIT} closed walks exceeds the oracle's walk limit"
         )
     schedule = _schedule(family, d, target)
+    flexible = mode == FLEXIBLE
+    if not flexible:
+        # Rigid walks read no inverse: the block drops those rows, and the
+        # identity row moves up to row ``slots``.
+        schedule[schedule == 2 * slots] = slots
     n_walks = len(schedule)
     # Schedule entries per walk; rows are sorted, so a chunk's last is its widest.
     widths = family.lengths.astype(np.intp) * (2 if target == FULL else 1)
@@ -514,10 +519,11 @@ def _filter_blocks(group, d, target, mode, slots) -> Iterator[np.ndarray]:
     lead, size = slots - k, order**k
     grid = _digit_grid(order, k)
     inverse = np.array(group.inverse, dtype=grid.dtype)
-    block = np.empty((2 * slots + 1, size), dtype=grid.dtype)
+    block = np.empty((2 * slots + 1 if flexible else slots + 1, size), dtype=grid.dtype)
     block[lead:slots] = grid
-    block[slots + lead : 2 * slots] = inverse[grid]
-    block[2 * slots] = e
+    if flexible:
+        block[slots + lead : 2 * slots] = inverse[grid]
+    block[-1] = e
     step = (group.table_array * order).ravel()
     unit = np.intp(e * order)
     for number, head in enumerate(itertools.product(range(order), repeat=lead)):
@@ -527,7 +533,8 @@ def _filter_blocks(group, d, target, mode, slots) -> Iterator[np.ndarray]:
         # costs many times more.
         values = np.array(head, dtype=block.dtype)[:, None]
         block[:lead] = values
-        block[slots : slots + lead] = inverse[values]
+        if flexible:
+            block[slots : slots + lead] = inverse[values]
         # Alive candidates as grid columns; None while the whole block is alive.
         digits, alive, walk = block, None, 0
         while walk < n_walks and digits.shape[1]:

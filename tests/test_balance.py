@@ -429,7 +429,17 @@ def test_schedule_rows_follow_the_sorted_walks(path):
                 assert row == expected, (mode, target, walk)
 
 
-def test_oracle_refuses_past_the_walk_limit(monkeypatch):
+@pytest.fixture
+def fresh_walk_cache():
+    # A refusal is cached, and whether a family is refused depends on
+    # _WALK_LIMIT: clear the cache on the way in and out, even when the test
+    # fails, so that no other test meets a refusal made at a lowered limit.
+    balance._walk_family.cache_clear()
+    yield
+    balance._walk_family.cache_clear()
+
+
+def test_oracle_refuses_past_the_walk_limit(monkeypatch, fresh_walk_cache):
     # Four loops have 16,072 flexible closed walks and only 81 candidates.
     g = make_group("cyclic:3")
     four = Digraph(1, ((0, 0),) * 4)
@@ -444,11 +454,9 @@ def test_oracle_refuses_past_the_walk_limit(monkeypatch):
     # The budget is still checked first, before any walk.
     with pytest.raises(OracleBudgetError):
         brute_force_count(g, four, EDGES, FLEXIBLE, budget=80)
-    # A refusal is cached, and the tests that follow run at the default limit.
-    balance._walk_family.cache_clear()
 
 
-def test_a_refused_walk_family_is_enumerated_once(monkeypatch):
+def test_a_refused_walk_family_is_enumerated_once(monkeypatch, fresh_walk_cache):
     # Three loops have 415 flexible closed walks; both targets read one family.
     g = make_group("cyclic:2")
     three = Digraph(1, ((0, 0),) * 3)
@@ -458,7 +466,6 @@ def test_a_refused_walk_family_is_enumerated_once(monkeypatch):
         calls.append(mode)
         return all_closed_walks(d, mode)
 
-    balance._walk_family.cache_clear()
     monkeypatch.setattr(balance, "all_closed_walks", counted)
     monkeypatch.setattr(balance, "_WALK_LIMIT", 414)
     message = "brute force over more than 414 closed walks exceeds the oracle's walk limit"
@@ -466,7 +473,6 @@ def test_a_refused_walk_family_is_enumerated_once(monkeypatch):
         with pytest.raises(ValueError, match=re.escape(message)):
             brute_force_count(g, three, target, FLEXIBLE)
     assert calls == [FLEXIBLE]
-    balance._walk_family.cache_clear()
 
 
 def test_eight_loops_are_refused_at_the_default_walk_limit():
