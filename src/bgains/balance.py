@@ -491,9 +491,9 @@ def _filter_blocks(group, d, target, mode, slots) -> Iterator[np.ndarray]:
     are constant and the k trailing ones run over one grid that every block
     shares.  The block is held as one matrix of extended rows, ``[digits |
     inverse digits | identity]`` as ``_schedule`` indexes them (rigid mode
-    leaves out the inverse rows), with one column per alive candidate.  Walks are checked a chunk at a time, the
-    chunk widening as candidates die, and dead columns are dropped after
-    any chunk that prunes.  A product is held times ``order``, so that one
+    leaves out the inverse rows), with one column per alive candidate.
+    Walks are checked a chunk at a time, the chunk widening as candidates
+    die, and dead columns are dropped after any chunk that prunes.  A product is held times ``order``, so that one
     gather from the flat table ``step`` multiplies it by a digit.
     """
     order, e = group.order, group.identity
