@@ -23,6 +23,10 @@ unresolved    neither, and the first's interquartile range is wider than
               the bound, unless every run of the second beats every run of
               the first;
 within bound  anything else.
+
+A run whose outputs check wrong (``correct: false``) still goes into the
+files, but then the script prints one ``INCORRECT`` line per such run,
+naming the checkout, workload and seed, prints no verdict and exits 1.
 """
 
 from __future__ import annotations
@@ -131,6 +135,14 @@ def main(argv=None) -> int:
         path = args.out_dir / f"BENCH_{git(c, 'rev-parse', '--short', 'HEAD')}.json"
         path.write_text(json.dumps(record, indent=1) + "\n")
         print(f"wrote {path}", file=sys.stderr)
+
+    # A verdict on wrong outputs means nothing, so a run that checked wrong
+    # gets no verdict and fails the recording.
+    incorrect = [(c, w, r["seed"]) for c in checkouts for w in WORKLOADS for r in raw[c][w] if not r["correct"]]
+    for c, w, seed in incorrect:
+        print(f"INCORRECT {c} {w} seed {seed}")
+    if incorrect:
+        return 1
 
     if len(checkouts) == 2:
         bounds = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}

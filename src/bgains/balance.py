@@ -144,7 +144,7 @@ class EdgeUse(NamedTuple):
     reverse: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeLabeling:
     """Group element index per edge, in edge id order."""
 
@@ -155,7 +155,7 @@ class EdgeLabeling:
         _check_mode(self.mode)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FullLabeling:
     """Group element indices for all vertices and all edges.
 
@@ -174,21 +174,30 @@ class FullLabeling:
 # The library builds labelings by the million (oracle survivors, enumeration
 # streams) under a mode it has checked once, so these set the fields as the
 # dataclass ``__init__`` does but skip the mode check of ``__post_init__``.
-# The result equals, hashes and prints like a publicly built labeling.  Not
-# through ``__dict__``: reading it gives each instance a dict of its own,
-# about 60 bytes more per labeling.
+# The result equals, hashes and prints like a publicly built labeling.  Both
+# types are slotted, so a labeling is one object with no ``__dict__``, and
+# each field is set by calling its slot descriptor's ``__set__``, which the
+# frozen ``__setattr__`` does not guard.
+_new = object.__new__
+_set_values = EdgeLabeling.values.__set__
+_set_edge_mode = EdgeLabeling.mode.__set__
+_set_vertex_values = FullLabeling.vertex_values.__set__
+_set_edge_values = FullLabeling.edge_values.__set__
+_set_full_mode = FullLabeling.mode.__set__
+
+
 def _edge_labeling(values: tuple[int, ...], mode: str) -> EdgeLabeling:
-    labeling = object.__new__(EdgeLabeling)
-    object.__setattr__(labeling, "values", values)
-    object.__setattr__(labeling, "mode", mode)
+    labeling = _new(EdgeLabeling)
+    _set_values(labeling, values)
+    _set_edge_mode(labeling, mode)
     return labeling
 
 
 def _full_labeling(vertex_values: tuple[int, ...], edge_values: tuple[int, ...], mode: str) -> FullLabeling:
-    labeling = object.__new__(FullLabeling)
-    object.__setattr__(labeling, "vertex_values", vertex_values)
-    object.__setattr__(labeling, "edge_values", edge_values)
-    object.__setattr__(labeling, "mode", mode)
+    labeling = _new(FullLabeling)
+    _set_vertex_values(labeling, vertex_values)
+    _set_edge_values(labeling, edge_values)
+    _set_full_mode(labeling, mode)
     return labeling
 
 
@@ -590,9 +599,10 @@ def brute_force_labelings(
         return out
     # A full labeling's vertex values and edge values are the high and the
     # low digits of its candidate number.  Survivors repeat few distinct
-    # halves, so each half is decoded once and its tuple shared: one new
-    # object per survivor instead of three, which saves memory and garbage
-    # collector passes over the growing result.
+    # halves, so each half is decoded once and its tuple shared: the one
+    # new object per survivor is the slotted labeling, about 64 bytes with
+    # its list entry, and the cyclic garbage collector tracks a third as
+    # many objects as it would with two fresh tuples each.
     n = d.n_vertices
     low = order**d.n_edges
     vertex_values = _DigitTuples(powers[:n] // low, order)
