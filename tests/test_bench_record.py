@@ -1,4 +1,5 @@
-"""The verdicts that scripts/bench_record.py prints for two checkouts."""
+"""The verdicts that scripts/bench_record.py prints for two checkouts, and
+the INCORRECT lines that replace them when a run checks wrong."""
 
 import importlib.util
 import json
