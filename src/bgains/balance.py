@@ -286,47 +286,43 @@ def all_closed_walks(d: Digraph, mode: str = FLEXIBLE) -> Iterator[ClosedWalk]:
     keeps its own stack, so walk length is not limited by Python recursion.
     """
     _check_mode(mode)
-    flexible = mode == FLEXIBLE
-    # use id: edge under rigid; 2*edge + reverse under flexible
-    out: list[list[tuple[tuple[int, int, bool], int, int, EdgeUse]]] = [
-        [] for _ in range(d.n_vertices)
-    ]
-    for e, (u, w) in enumerate(d.edges):
-        if flexible:
-            out[u].append(((u, e, False), 2 * e, w, EdgeUse(e, False)))
-            out[w].append(((w, e, True), 2 * e + 1, u, EdgeUse(e, True)))
-        else:
-            out[u].append(((u, e, False), e, w, EdgeUse(e, False)))
-    for lst in out:
-        lst.sort()
+    # Every edge use as (start vertex, edge id, reverse, end vertex); a use's
+    # rank in that order indexes ``used`` and orders the canonical start.
+    ranked = [(u, e, False, w) for e, (u, w) in enumerate(d.edges)]
+    if mode == FLEXIBLE:
+        ranked += [(w, e, True, u) for e, (u, w) in enumerate(d.edges)]
+    ranked.sort()
+    out: list[list[tuple[int, int, EdgeUse]]] = [[] for _ in range(d.n_vertices)]
+    for rank, (u, e, reverse, w) in enumerate(ranked):
+        out[u].append((rank, w, EdgeUse(e, reverse)))
 
-    used = bytearray(2 * d.n_edges if flexible else d.n_edges)
+    used = bytearray(len(ranked))
     vseq: list[int] = []
     steps: list[EdgeUse] = []
-    uids: list[int] = []
+    ranks: list[int] = []
     for start in range(d.n_vertices):
         for first in out[start]:
-            first_key = first[0]
+            first_rank = first[0]
             cur = start
             # One iterator per vertex of the walk so far, over the steps
             # that may leave it; the bottom one yields only the first step.
             stack = [iter((first,))]
             while stack:
-                for key, uid, target, use in stack[-1]:
+                for rank, target, use in stack[-1]:
                     # Canonical-start pruning: a step smaller than the first
                     # means this linearization (and every extension, which
                     # keeps the step) is some other rotation's job.
-                    if not used[uid] and key >= first_key:
+                    if not used[rank] and rank >= first_rank:
                         break
                 else:
                     stack.pop()
-                    if uids:
-                        used[uids.pop()] = 0
+                    if ranks:
+                        used[ranks.pop()] = 0
                         cur = vseq.pop()
                         steps.pop()
                     continue
-                used[uid] = 1
-                uids.append(uid)
+                used[rank] = 1
+                ranks.append(rank)
                 vseq.append(cur)
                 steps.append(use)
                 if target == start:
@@ -410,22 +406,9 @@ def _slot_count(d: Digraph, target: str) -> int:
     return d.n_edges if target == EDGES else d.n_vertices + d.n_edges
 
 
-def _walk_ops(walk: ClosedWalk, target: str, n_vertices: int) -> list[tuple[int, bool]]:
-    """Multiplication schedule for one walk: (candidate slot, invert?) pairs.
-
-    For the full target, slots 0..n_vertices-1 hold vertex values and the
-    edge values follow; for edges, slot j is edge j.
-    """
-    ops: list[tuple[int, bool]] = []
-    shift = n_vertices if target == FULL else 0
-    for v, (edge, reverse) in zip(walk.vertices, walk.steps):
-        if target == FULL:
-            ops.append((v, False))
-        ops.append((shift + edge, reverse))
-    return ops
-
-
-def _checked_total(group: FiniteGroup, d: Digraph, target: str, mode: str, budget: int) -> tuple[int, int]:
+def _checked_total(group: FiniteGroup, d: Digraph, target: str, mode: str, budget: int) -> int:
+    """The number of candidate slots, after checking the target, the mode
+    and the candidate space; raises before any walk is searched."""
     _check_target(target)
     _check_mode(mode)
     slots = _slot_count(d, target)
@@ -437,19 +420,7 @@ def _checked_total(group: FiniteGroup, d: Digraph, target: str, mode: str, budge
             f"brute force over {group.order}**{slots} candidate labelings exceeds "
             "the oracle's limit of 2**63 - 1 candidates"
         )
-    return slots, total
-
-
-def _survivor_blocks(group, d, target, mode, budget) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """Place value of each slot's digit in the lexicographic candidate
-    number, and the indices of balanced labelings in that order, one array
-    per block of at most ``_BLOCK_SIZE`` consecutive candidates.
-
-    Raises OracleBudgetError here, before any block is filtered.
-    """
-    slots, _ = _checked_total(group, d, target, mode, budget)
-    powers = np.array([group.order ** (slots - 1 - s) for s in range(slots)], dtype=np.int64)
-    return powers, _filter_blocks(group, d, target, mode, slots)
+    return slots
 
 
 def _schedule(family: _WalkFamily, d: Digraph, target: str) -> np.ndarray:
@@ -493,7 +464,8 @@ def _digit_grid(order: int, k: int) -> np.ndarray:
 
 
 def _filter_blocks(group, d, target, mode, slots) -> Iterator[np.ndarray]:
-    """The survivors of ``_survivor_blocks``, one array per block.
+    """The numbers of the balanced candidates in lexicographic order, one
+    array per block of at most ``_BLOCK_SIZE`` consecutive candidates.
 
     A block is ``order**k`` consecutive candidates.  Candidate numbers are
     mixed-radix numbers, so within a block the ``slots - k`` leading digits
@@ -502,8 +474,9 @@ def _filter_blocks(group, d, target, mode, slots) -> Iterator[np.ndarray]:
     inverse digits | identity]`` as ``_schedule`` indexes them (rigid mode
     leaves out the inverse rows), with one column per alive candidate.
     Walks are checked a chunk at a time, the chunk widening as candidates
-    die, and dead columns are dropped after any chunk that prunes.  A product is held times ``order``, so that one
-    gather from the flat table ``step`` multiplies it by a digit.
+    die, and dead columns are dropped after any chunk that prunes.  A
+    product is held times ``order``, so that one gather from the flat table
+    ``step`` multiplies it by a digit.
     """
     order, e = group.order, group.identity
     family = _walk_family(d, mode)
@@ -577,8 +550,8 @@ def brute_force_count(
     target, |V|+|E| for full) and checks every closed walk; raises
     OracleBudgetError up front when the candidate space exceeds ``budget``.
     """
-    _, blocks = _survivor_blocks(group, d, target, mode, budget)
-    return sum(int(alive.size) for alive in blocks)
+    slots = _checked_total(group, d, target, mode, budget)
+    return sum(int(alive.size) for alive in _filter_blocks(group, d, target, mode, slots))
 
 
 def brute_force_labelings(
@@ -589,8 +562,11 @@ def brute_force_labelings(
     budget: int = DEFAULT_ORACLE_BUDGET,
 ) -> list[EdgeLabeling | FullLabeling]:
     """The balanced labelings themselves, in lexicographic candidate order."""
-    powers, blocks = _survivor_blocks(group, d, target, mode, budget)
+    slots = _checked_total(group, d, target, mode, budget)
+    blocks = _filter_blocks(group, d, target, mode, slots)
     order = group.order
+    # Place value of each slot's digit in the candidate number.
+    powers = order ** np.arange(slots - 1, -1, -1, dtype=np.int64)
     out: list[EdgeLabeling | FullLabeling] = []
     if target == EDGES:
         for alive in blocks:
@@ -638,19 +614,14 @@ def brute_force_count_reference(
     Kept deliberately naive so the vectorized oracle has something
     independent to agree with.
     """
-    slots, _ = _checked_total(group, d, target, mode, budget)
+    slots = _checked_total(group, d, target, mode, budget)
     walks = sorted(all_closed_walks(d, mode), key=len)
-    ops = [_walk_ops(w, target, d.n_vertices) for w in walks]
-    table, inverse, e = group.table, group.inverse, group.identity
+    e, n = group.identity, d.n_vertices
     count = 0
     for cand in itertools.product(range(group.order), repeat=slots):
-        for schedule in ops:
-            acc = e
-            for slot, invert in schedule:
-                x = cand[slot]
-                acc = table[acc][inverse[x] if invert else x]
-            if acc != e:
-                break
+        if target == FULL:
+            vertex_values, edge_values = cand[:n], cand[n:]
+            count += all(_fold_full(group, vertex_values, edge_values, w) == e for w in walks)
         else:
-            count += 1
+            count += all(_fold_edges(group, cand, w) == e for w in walks)
     return count

@@ -109,18 +109,7 @@ def _oracle_budget(args) -> int:
 
 def cmd_analyze(args) -> int:
     report = analyze(_load_graph_file(args.graph))
-    print(
-        json.dumps(
-            {
-                "weakly_connected": report.weakly_connected,
-                "bipartite": report.bipartite,
-                "scc_count": report.scc_count,
-                "cross_scc_edges": report.cross_scc_edges,
-                "scc_assignment": list(report.scc_assignment),
-            },
-            indent=2,
-        )
-    )
+    print(json.dumps(vars(report), indent=2))
     return EXIT_OK
 
 

@@ -79,7 +79,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, product
 from typing import Iterator, Sequence
@@ -178,21 +178,23 @@ def count(group: FiniteGroup, d: Digraph, target: str, mode: str) -> BalancedCou
     _check_target(target)
     _check_mode(mode)
     report = _connected_report(d)
-    return replace(_closed_form(group, d.n_vertices, report, target, mode), report=report)
+    s, t = _exponents(d.n_vertices, report, target, mode)
+    return BalancedCount(s, t, len(group.involutions()) ** s * group.order**t, report)
 
 
-def _closed_form(group: FiniteGroup, v: int, report: StructureReport, target: str, mode: str) -> BalancedCount:
+def _exponents(v: int, report: StructureReport, target: str, mode: str) -> tuple[int, int]:
+    """The closed form's (s, t): the count is |G2|^s * |G|^t."""
     if mode == FLEXIBLE:
         if target == EDGES:
-            return BalancedCount.of(0, v - 1, group)
+            return 0, v - 1
         if report.bipartite:
-            return BalancedCount.of(0, v, group)
-        return BalancedCount.of(1, v - 1, group)
+            return 0, v
+        return 1, v - 1
     kbar = report.scc_count
     r = report.cross_scc_edges
     if target == EDGES:
-        return BalancedCount.of(0, v - kbar + r, group)
-    return BalancedCount.of(0, 2 * v - kbar + r, group)
+        return 0, v - kbar + r
+    return 0, 2 * v - kbar + r
 
 
 # ----------------------------------------------------------- bijections
@@ -339,7 +341,7 @@ class _Frame:
     """The free coordinates of one instance's balanced labelings.
 
     ``radices`` has one entry per coordinate, in enumeration order (see the
-    module docstring), and their product is ``count.value``.  ``blocks``
+    module docstring), and their product is ``count(...).value``.  ``blocks``
     decodes the whole stream as arrays of element indices, one row per
     labeling and ``slots`` values per row; ``decode`` maps one coordinate
     vector, each entry below its radix, to its labeling through the same
@@ -350,8 +352,8 @@ class _Frame:
 
     def __init__(self, group: FiniteGroup, d: Digraph, target: str, mode: str, report: StructureReport | None = None):
         report = report or _connected_report(d)
-        self.count = _closed_form(group, d.n_vertices, report, target, mode)
-        self.radices = (len(group.involutions()),) * self.count.s + (group.order,) * self.count.t
+        s, t = _exponents(d.n_vertices, report, target, mode)
+        self.radices = (len(group.involutions()),) * s + (group.order,) * t
         self._group, self._d, self._target, self._mode = group, d, target, mode
         n = self._n = d.n_vertices
         self.slots = d.n_edges + (n if target == FULL else 0)
@@ -371,7 +373,7 @@ class _Frame:
             self._lead = n
         else:
             self._lead = 1
-            heads = sorted(group.involutions()) if self.count.s else range(group.order)
+            heads = sorted(group.involutions()) if s else range(group.order)
             self._heads = np.array(heads, dtype=np.intp)
             self._head_coordinate = {a: c for c, a in enumerate(heads)}
             self._inverse = np.array(group.inverse, dtype=np.intp)

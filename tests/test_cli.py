@@ -49,6 +49,11 @@ def test_analyze_theta(run):
     assert report["scc_count"] == 1
     assert report["cross_scc_edges"] == 0
     assert report["scc_assignment"] == [0, 0, 0, 0]
+    # The exact text, key order and indentation included.
+    assert out == (
+        '{\n  "weakly_connected": true,\n  "bipartite": false,\n  "scc_count": 1,\n'
+        '  "cross_scc_edges": 0,\n  "scc_assignment": [\n    0,\n    0,\n    0,\n    0\n  ]\n}\n'
+    )
 
 
 def test_analyze_parities(run):
