@@ -7,10 +7,14 @@ Runs ``bench/run.py --seconds 15 --trace 0`` from each checkout (a source
 tree with a ``bench/`` directory, usually a clone at one commit) on every
 workload and seed.  Given two checkouts, it alternates them: the first one
 named runs first on even positions of the seed list, the second on odd
-ones, so that a drift in the host's speed falls on both.  Each checkout
-gets one file, ``BENCH_<short-sha>.json`` in ``--out-dir``, holding the
-median and quartiles of every metric per workload, the seeds, the Python
-version and every raw result.  With two checkouts, a summary on stdout
+ones, so that a drift in the host's speed falls on both.  Then each
+checkout makes one ``--trace 1`` run per workload on the first seed, the
+order alternating from workload to workload in the same way.  Each
+checkout gets one file, ``BENCH_<short-sha>.json`` in ``--out-dir``,
+holding the median and quartiles of every end-to-end metric per workload,
+the seeds, the Python version and every raw result, and under ``traced``
+each workload's traced run with its per-layer metrics.  Traced runs feed
+no verdict.  With two checkouts, a summary on stdout
 gives each metric's medians, how many seeds each side won and a verdict
 on the second checkout against the first, with the bounds of the
 benchmark's ``BENCHMARK.json``:
@@ -24,9 +28,10 @@ unresolved    neither, and the first's interquartile range is wider than
               the first;
 within bound  anything else.
 
-A run whose outputs check wrong (``correct: false``) still goes into the
-files, but then the script prints one ``INCORRECT`` line per such run,
-naming the checkout, workload and seed, prints no verdict and exits 1.
+A run whose outputs check wrong (``correct: false``), traced or not, still
+goes into the files, but then the script prints one ``INCORRECT`` line per
+such run, naming the checkout, workload and seed (and ``traced`` for a
+traced run), prints no verdict and exits 1.
 """
 
 from __future__ import annotations
@@ -53,10 +58,10 @@ def git(checkout: Path, *args: str) -> str:
     return subprocess.run(["git", "-C", str(checkout), *args], check=True, capture_output=True, text=True).stdout.strip()
 
 
-def bench_once(checkout: Path, workload: str, seed: int) -> dict:
+def bench_once(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
     """One ``bench/run.py`` run; its result is the last line of stdout."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(SECONDS), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
@@ -120,6 +125,11 @@ def main(argv=None) -> int:
                 items = run["metrics"]["items_per_s"]["value"]
                 print(f"seed {seed} {workload} {c.name}: items_per_s {items:.6g} correct {run['correct']}",
                       file=sys.stderr, flush=True)
+    traced = {c: {} for c in checkouts}
+    for k, workload in enumerate(WORKLOADS):
+        for c in checkouts if k % 2 == 0 else checkouts[::-1]:
+            run = traced[c][workload] = bench_once(c, workload, SEEDS[0], trace=1)
+            print(f"traced seed {SEEDS[0]} {workload} {c.name}: correct {run['correct']}", file=sys.stderr, flush=True)
 
     for c in checkouts:
         record = {
@@ -131,6 +141,8 @@ def main(argv=None) -> int:
             "seeds": list(SEEDS),
             "workloads": {w: summary(runs) for w, runs in raw[c].items()},
             "runs": raw[c],
+            "traced_command": f"bench/run.py --seconds {SECONDS} --trace 1",
+            "traced": traced[c],
         }
         path = args.out_dir / f"BENCH_{git(c, 'rev-parse', '--short', 'HEAD')}.json"
         path.write_text(json.dumps(record, indent=1) + "\n")
@@ -138,9 +150,10 @@ def main(argv=None) -> int:
 
     # A verdict on wrong outputs means nothing, so a run that checked wrong
     # gets no verdict and fails the recording.
-    incorrect = [(c, w, r["seed"]) for c in checkouts for w in WORKLOADS for r in raw[c][w] if not r["correct"]]
-    for c, w, seed in incorrect:
-        print(f"INCORRECT {c} {w} seed {seed}")
+    incorrect = [(c, w, f"seed {r['seed']}") for c in checkouts for w in WORKLOADS for r in raw[c][w] if not r["correct"]]
+    incorrect += [(c, w, f"seed {r['seed']} traced") for c in checkouts for w, r in traced[c].items() if not r["correct"]]
+    for c, w, run in incorrect:
+        print(f"INCORRECT {c} {w} {run}")
     if incorrect:
         return 1
 

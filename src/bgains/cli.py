@@ -21,11 +21,11 @@ from __future__ import annotations
 import argparse
 import decimal
 import functools
+import io
 import json
 import os
 import sys
 from itertools import islice
-from pathlib import Path
 
 from .balance import (
     DEFAULT_ORACLE_BUDGET,
@@ -64,8 +64,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+# A graph file is read whole and parsed into one Python tuple per edge, 72
+# bytes or more for a line of as few as 4, so its length is capped: 32 MiB
+# holds 2.4 million edges between six-digit vertex indices.
+GRAPH_FILE_LIMIT = 32 * 2**20
+
+
 def _load_graph_file(path: str) -> Digraph:
-    return load_graph(Path(path).read_text())
+    # Read in chunks: f.read(GRAPH_FILE_LIMIT + 1) would allocate the whole
+    # cap at once, however short the file.
+    data = bytearray()
+    with open(path, "rb") as f:
+        while chunk := f.read(2**20):
+            data += chunk
+            if len(data) > GRAPH_FILE_LIMIT:
+                raise GraphFormatError(f"{path}: graph file exceeds the limit of {GRAPH_FILE_LIMIT:,} bytes")
+    # Decoded and newline-translated as open(path).read() would.
+    return load_graph(io.TextIOWrapper(io.BytesIO(data)).read())
 
 
 def _tokens(group: FiniteGroup, show_elements: bool) -> tuple[str, ...]:

@@ -7,6 +7,18 @@ closed-form counts depend on: weak connectivity, bipartiteness of the
 underlying undirected graph, and the strongly connected component
 decomposition (component count and number of cross-component edges).
 
+``analyze`` takes one of two paths, chosen by edge count, and both give the
+same report.  Below ``_ARRAY_EDGES`` edges it runs a breadth-first search and
+Tarjan's algorithm over Python lists.  From there on it converts the edges
+to numpy arrays once: weak components and bipartiteness come from one
+hook-and-jump connectivity pass (Shiloach and Vishkin) over the bipartite
+double cover, and Tarjan's loop runs only over the vertices that have both
+an in-edge and an out-edge; every other vertex is a component of its own.
+The arrays cost a fixed 80-130 microseconds per call, against 9-18 for the
+Python path on a graph of a few edges, and pay off only from some thousands
+of edges on; so small graphs, which the oracle checks analyze by the
+thousand, stay on the Python path.
+
 Graph file format::
 
     # comment lines and trailing comments are stripped
@@ -140,12 +152,23 @@ def _load_bulk(text: str) -> Digraph | None:
     # numpy reads a blank string as one zero.
     ends = np.fromstring(body, dtype=np.int64, sep=" ") if body and not body.isspace() else []
     if not len(ends):
-        return None if n_declared is None else Digraph(n_declared, ())
+        return None if n_declared is None else _prechecked_digraph(n_declared, ())
     top = int(ends.max())
     if top >= (_VERTEX_LIMIT if n_declared is None else n_declared):
         return None
     ends = iter(ends.tolist())  # frees the array now, and the list once paired
-    return Digraph(top + 1 if n_declared is None else n_declared, tuple(zip(ends, ends)))
+    return _prechecked_digraph(top + 1 if n_declared is None else n_declared, tuple(zip(ends, ends)))
+
+
+def _prechecked_digraph(n_vertices: int, edges: tuple[tuple[int, int], ...]) -> Digraph:
+    """A Digraph built without ``Digraph.__post_init__``, whose checks the
+    caller has already made: ``n_vertices`` is a nonnegative int and
+    ``edges`` a tuple of pairs of ints in ``0..n_vertices - 1``.  For the
+    bulk parser, which has matched every index to digits, read them as
+    ints, paired them and compared their maximum with the vertex count."""
+    d = object.__new__(Digraph)
+    d.__dict__.update(n_vertices=n_vertices, edges=edges)
+    return d
 
 
 def _load_lines(text: str) -> Digraph:
@@ -230,26 +253,20 @@ def _weak_search(d: Digraph) -> tuple[int, bool]:
     return searches, bipartite
 
 
-def _strong_components(d: Digraph) -> tuple[list[int], int, int]:
-    """Tarjan's algorithm, iterative: vertex -> component id (normalized to
-    first appearance in vertex order), the number of components and the
-    number of edges between components.
+def _strong_components(succ: list[list[int]]) -> tuple[list[int], int]:
+    """Tarjan's algorithm, iterative, over vertices ``0..len(succ) - 1``
+    with successor lists ``succ``: vertex -> component id, in the order the
+    components finish, and the number of components.
 
     A visited vertex is on Tarjan's stack exactly while it has no component
-    yet.  An edge into a finished component leaves the searching vertex's
-    component, which is unfinished; so does a tree edge into the root of a
-    component.  Every other edge stays inside one component.
+    yet, so only an edge to a vertex without one can lower a low link.
     """
-    n = d.n_vertices
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for u, w in d.edges:
-        succ[u].append(w)
-
+    n = len(succ)
     index = [-1] * n
     low = [0] * n
     comp = [-1] * n
     stack: list[int] = []
-    counter = n_comps = cross = 0
+    counter = n_comps = 0
 
     for root in range(n):
         if index[root] != -1:
@@ -269,9 +286,7 @@ def _strong_components(d: Digraph) -> tuple[list[int], int, int]:
                     path.append(w)
                     its.append(iter(succ[w]))
                     break
-                if comp[w] != -1:
-                    cross += 1
-                elif index[w] < low[v]:
+                if index[w] < low[v] and comp[w] == -1:
                     low[v] = index[w]
             else:
                 its.pop()
@@ -283,30 +298,116 @@ def _strong_components(d: Digraph) -> tuple[list[int], int, int]:
                         if w == v:
                             break
                     n_comps += 1
-                    cross += bool(path)
                 elif low[v] < low[path[-1]]:
                     low[path[-1]] = low[v]
+    return comp, n_comps
 
-    # Relabel component ids by first appearance over vertex index.
-    relabel = dict(zip(dict.fromkeys(comp), range(n_comps)))
-    return list(map(relabel.__getitem__, comp)), n_comps, cross
+
+def _weak_arrays(n: int, origins: np.ndarray, ends: np.ndarray) -> tuple[bool, bool]:
+    """Weak connectivity and bipartiteness by hook-and-jump connectivity
+    (Shiloach and Vishkin) over the bipartite double cover: node ``v`` is
+    vertex ``v`` on side 0, node ``v + n`` the same vertex on side 1, and an
+    edge u -> w joins ``(u, w + n)`` and ``(u + n, w)``.
+
+    A vertex's two nodes share a component exactly when an odd closed walk
+    passes through it, and each weak component of the graph is one
+    component of the cover or, if bipartite, two that swap the sides.
+
+    Every node points at a root no larger than itself.  In each round every
+    root hooks onto the smallest root it shares an edge with, then pointers
+    jump until each points at a root.  A root that neither hooks nor is
+    hooked onto has only larger neighbours, each of which hooked onto a
+    root smaller than it; so it hooks in the next round, every two rounds at
+    least halve the roots of a component, and there are O(log n) rounds.
+    """
+    a = np.concatenate((origins, origins + n))
+    b = np.concatenate((ends + n, ends))
+    root = np.arange(2 * n, dtype=origins.dtype)
+    while True:
+        ra, rb = root[a], root[b]
+        split = np.flatnonzero(ra != rb)
+        if not len(split):
+            break
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]  # joined edges stay joined
+        np.minimum.at(root, ra, rb)
+        np.minimum.at(root, rb, ra)
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    side0, side1 = root[:n], root[n:]
+    lowest = np.minimum(side0, side1)  # one value per weak component
+    return not np.any(lowest != lowest[:1]), not np.any(side0 == side1)
+
+
+def _strong_arrays(n: int, origins: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, int]:
+    """Vertex -> strongly connected component id, and the number of
+    components.  A vertex without an in-edge or without an out-edge lies on
+    no cycle, so it is a component of its own, and so is every edge into or
+    out of it a cross edge; Tarjan's loop runs over the other vertices only,
+    renumbered ``0..k-1``, and the edges between them."""
+    inner_vertex = (np.bincount(origins, minlength=n) > 0) & (np.bincount(ends, minlength=n) > 0)
+    inner = np.flatnonzero(inner_vertex)
+    inner_edges = np.flatnonzero(inner_vertex[origins] & inner_vertex[ends])
+    local = np.zeros(n, dtype=origins.dtype)
+    local[inner] = np.arange(len(inner), dtype=origins.dtype)
+    tails = local[origins[inner_edges]]
+    heads = local[ends[inner_edges]][np.argsort(tails, kind="stable")].tolist()
+    bounds = np.cumsum(np.bincount(tails, minlength=len(inner))).tolist()
+    comp_inner, k = _strong_components([heads[i:j] for i, j in zip([0, *bounds], bounds)])
+    comp = np.arange(k, k + n, dtype=origins.dtype)  # fresh ids for the outer vertices
+    comp[inner] = comp_inner
+    return comp, k + n - len(inner)
+
+
+# From this many edges on, analyze works on numpy arrays.  Timed in two
+# runs on random graphs with twice as many edges as vertices (Python 3.11,
+# numpy 2.4, a shared 2-core host), the array path took 0.72-1.37 of the
+# Python path's time from 1,000 to 8,000 edges, 0.56-0.82 at 16,000, 0.60-0.66
+# at 32,000 and 0.44-0.47 at 100,000.  On graphs of 4 to 8 edges it took
+# 80-130 us a call against 9-18 us, and the oracle checks call analyze on
+# thousands of those.
+_ARRAY_EDGES = 8_192
 
 
 def analyze(d: Digraph) -> StructureReport:
     """Compute the StructureReport for a digraph.
 
     Deterministic and independent of edge order; loops make the graph
-    non-bipartite.
+    non-bipartite.  A graph of fewer than ``_ARRAY_EDGES`` edges is searched
+    over Python lists, a larger one on numpy arrays (see the module
+    docstring); the report is the same either way.
     """
+    if d.n_edges >= _ARRAY_EDGES:
+        return _analyze_arrays(d)
     searches, bipartite = _weak_search(d)
-    comp, n_comps, cross = _strong_components(d)
-    return StructureReport(
-        weakly_connected=searches <= 1,
-        bipartite=bipartite,
-        scc_count=n_comps,
-        cross_scc_edges=cross,
-        scc_assignment=tuple(comp),
-    )
+    succ: list[list[int]] = [[] for _ in range(d.n_vertices)]
+    for u, w in d.edges:
+        succ[u].append(w)
+    comp, n_comps = _strong_components(succ)
+    cross = sum(comp[u] != comp[w] for u, w in d.edges)
+    # Relabel component ids by first appearance over vertex index.
+    relabel = dict(zip(dict.fromkeys(comp), range(n_comps)))
+    return StructureReport(searches <= 1, bipartite, n_comps, cross, tuple(map(relabel.__getitem__, comp)))
+
+
+def _analyze_arrays(d: Digraph) -> StructureReport:
+    """``analyze`` on numpy arrays."""
+    n = d.n_vertices
+    # The double cover numbers nodes up to 2n - 1.
+    pairs = np.fromiter(
+        itertools.chain.from_iterable(d.edges), np.int32 if n < 2**30 else np.int64, 2 * d.n_edges
+    ).reshape(-1, 2)
+    origins, ends = pairs[:, 0], pairs[:, 1]
+    weakly_connected, bipartite = _weak_arrays(n, origins, ends)
+    comp, n_comps = _strong_arrays(n, origins, ends)
+    cross = int(np.count_nonzero(comp[origins] != comp[ends]))
+    # Relabel component ids by first appearance over vertex index.
+    _, first, comp = np.unique(comp, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(n_comps)
+    return StructureReport(weakly_connected, bipartite, n_comps, cross, tuple(rank[comp].tolist()))
 
 
 def iter_connected_multigraphs(max_vertices: int, max_edges: int) -> Iterator[Digraph]:

@@ -1,5 +1,6 @@
-"""The verdicts that scripts/bench_record.py prints for two checkouts, and
-the INCORRECT lines that replace them when a run checks wrong."""
+"""The verdicts that scripts/bench_record.py prints for two checkouts, the
+INCORRECT lines that replace them when a run checks wrong, and the traced
+runs that it records beside them."""
 
 import importlib.util
 import json
@@ -49,26 +50,31 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
 
 @pytest.fixture
 def stubbed_runs(tmp_path, monkeypatch):
-    """Two checkouts whose runs are stubbed; returns them and the set of
-    (checkout name, workload, seed) runs that report wrong outputs."""
+    """Two checkouts whose runs are stubbed; returns them, the set of
+    (checkout name, workload, seed, trace) runs that report wrong outputs
+    and the list of runs made, in order."""
     checkouts = []
     for name in ("parent", "change"):
         (tmp_path / name / "bench").mkdir(parents=True)
         (tmp_path / name / "bench" / "run.py").touch()
         checkouts.append(tmp_path / name)
-    wrong = set()
+    wrong, made = set(), []
 
-    def bench_once(checkout, workload, seed):
-        metrics = {"wall_s": {"value": 1.0, "unit": "s"}, "items_per_s": {"value": 5.0, "unit": "1/s"}}
-        return {"seed": seed, "metrics": metrics, "correct": (checkout.name, workload, seed) not in wrong}
+    def bench_once(checkout, workload, seed, trace=0):
+        made.append((checkout.name, workload, seed, trace))
+        if trace:
+            metrics = {"digraph.analyze_s": {"value": 0.5 if checkout.name == "parent" else 0.25, "unit": "s"}}
+        else:
+            metrics = {"wall_s": {"value": 1.0, "unit": "s"}, "items_per_s": {"value": 5.0, "unit": "1/s"}}
+        return {"seed": seed, "metrics": metrics, "correct": (checkout.name, workload, seed, trace) not in wrong}
 
     monkeypatch.setattr(bench_record, "bench_once", bench_once)
     monkeypatch.setattr(bench_record, "git", lambda checkout, *args: checkout.name)
-    return checkouts, wrong
+    return checkouts, wrong, made
 
 
 def test_correct_runs_get_verdicts(stubbed_runs, tmp_path, capsys):
-    checkouts, _ = stubbed_runs
+    checkouts, _, _ = stubbed_runs
     assert bench_record.main([*map(str, checkouts), "--out-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "INCORRECT" not in out
@@ -77,8 +83,8 @@ def test_correct_runs_get_verdicts(stubbed_runs, tmp_path, capsys):
 
 
 def test_incorrect_runs_are_named_and_fail_the_recording(stubbed_runs, tmp_path, capsys):
-    checkouts, wrong = stubbed_runs
-    wrong |= {("change", "verify-grid", 303), ("parent", "large-graph", 310)}
+    checkouts, wrong, _ = stubbed_runs
+    wrong |= {("change", "verify-grid", 303, 0), ("parent", "large-graph", 310, 0)}
     assert bench_record.main([*map(str, checkouts), "--out-dir", str(tmp_path)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines == [
@@ -89,3 +95,35 @@ def test_incorrect_runs_are_named_and_fail_the_recording(stubbed_runs, tmp_path,
     record = json.loads((tmp_path / "BENCH_change.json").read_text())
     assert record["workloads"]["verify-grid"]["correct"] is False
     assert record["workloads"]["large-graph"]["correct"] is True
+
+
+def test_one_traced_run_per_workload_is_recorded_apart(stubbed_runs, tmp_path, capsys):
+    checkouts, _, made = stubbed_runs
+    assert bench_record.main([*map(str, checkouts), "--out-dir", str(tmp_path)]) == 0
+    traced = [run for run in made if run[3]]
+    # After every untraced run, alternating like them: the parent first on
+    # even workloads, the change first on odd ones.
+    assert made[-len(traced):] == traced == [
+        (name, workload, 301, 1)
+        for k, workload in enumerate(bench_record.WORKLOADS)
+        for name in (("parent", "change") if k % 2 == 0 else ("change", "parent"))
+    ]
+    for name, analyze_s in (("parent", 0.5), ("change", 0.25)):
+        record = json.loads((tmp_path / f"BENCH_{name}.json").read_text())
+        assert record["traced_command"] == "bench/run.py --seconds 15 --trace 1"
+        assert set(record["traced"]) == set(bench_record.WORKLOADS)
+        for run in record["traced"].values():
+            assert run == {"seed": 301, "metrics": {"digraph.analyze_s": {"value": analyze_s, "unit": "s"}}, "correct": True}
+        # The end-to-end summaries hold the untraced runs only.
+        assert all(set(summary) == {"wall_s", "items_per_s", "correct"} for summary in record["workloads"].values())
+    # Traced metrics get no verdict line.
+    assert "analyze" not in capsys.readouterr().out
+
+
+def test_an_incorrect_traced_run_is_named_and_fails_the_recording(stubbed_runs, tmp_path, capsys):
+    checkouts, wrong, _ = stubbed_runs
+    wrong.add(("change", "large-graph", 301, 1))
+    assert bench_record.main([*map(str, checkouts), "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"INCORRECT {checkouts[1]} large-graph seed 301 traced"]
+    record = json.loads((tmp_path / "BENCH_change.json").read_text())
+    assert record["traced"]["large-graph"]["correct"] is False

@@ -3,6 +3,7 @@ except where a real pipe is needed."""
 
 import hashlib
 import json
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -81,6 +82,35 @@ def test_analyze_missing_file(run):
     code, _, err = run("analyze", str(DATA / "no-such-graph.txt"))
     assert code == EXIT_USAGE
     assert "error" in err
+
+
+def test_analyze_endless_file_is_refused_under_a_memory_cap():
+    """/dev/zero never ends: the read stops one byte past the graph file
+    cap, well inside an address-space limit set in the child only."""
+    limit = 512 * 2**20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "bgains", "analyze", "/dev/zero"],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+    assert proc.stderr == f"error: /dev/zero: graph file exceeds the limit of {cli.GRAPH_FILE_LIMIT:,} bytes\n"
+
+
+def test_graph_file_cap_is_in_bytes(run, tmp_path, monkeypatch):
+    text = "n=3\r\n0 1\r\n# \u00e9\r2 1\n"
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode())
+    monkeypatch.setattr(cli, "GRAPH_FILE_LIMIT", len(text.encode()))
+    # Decoded and newline-translated as Path.read_text does.
+    assert cli._load_graph_file(str(path)) == load_graph(path.read_text())
+    monkeypatch.setattr(cli, "GRAPH_FILE_LIMIT", len(text.encode()) - 1)
+    code, out, err = run("analyze", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {path}: graph file exceeds the limit of {len(text.encode()) - 1:,} bytes\n"
 
 
 # ----------------------------------------------------------------- count

@@ -10,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgains.digraph import (
+    _ARRAY_EDGES,
     Digraph,
     GraphFormatError,
+    StructureReport,
+    _analyze_arrays,
     _load_bulk,
     _load_lines,
     analyze,
@@ -144,6 +147,42 @@ def test_well_formed_texts_take_the_bulk_path(text):
     assert _load_bulk(text) == _load_lines(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "n=3\n0 1\n2 1\n",
+        "n=4\n",
+        "0 0\n",
+        "n=1000000\n999999 0\n",
+        "\t007 1 \n300 299\n299 300\n",
+    ],
+)
+def test_bulk_loaded_graph_equals_the_public_one(text):
+    """The bulk parser builds its Digraph without the constructor's checks;
+    the result is the graph that the public constructor makes."""
+    bulk = _load_bulk(text)
+    public = Digraph(bulk.n_vertices, tuple((int(u), int(w)) for u, w in bulk.edges))
+    assert bulk == public and hash(bulk) == hash(public)
+    assert type(bulk.n_vertices) is int and type(bulk.edges) is tuple
+    assert all(type(e) is tuple and len(e) == 2 and set(map(type, e)) == {int} for e in bulk.edges)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("n=2\n0 2\n", "line 2: vertex index 2 out of range for n=2"),
+        ("n=3\n1 0\n7 1\n", "line 3: vertex index 7 out of range for n=3"),
+        ("n=0\n0 0\n", "line 2: vertex index 0 out of range for n=0"),
+        ("0 1\n1000000 1\n", "line 2: vertex index 1000000 exceeds the limit of 1000000 vertices"),
+    ],
+)
+def test_out_of_range_files_still_raise(text, message):
+    assert _load_bulk(text) is None
+    with pytest.raises(GraphFormatError) as exc:
+        load_graph(text)
+    assert str(exc.value) == message
+
+
 def test_load_graph_memory_is_the_graph_and_little_more():
     """Matching the whole text with one greedy repetition would keep some
     200 bytes of backtracking state per line."""
@@ -238,12 +277,18 @@ def test_two_cycles_bridged():
     assert r.scc_assignment == (0, 0, 1, 1)
 
 
+@pytest.mark.parametrize("permuted", [False, True])
 @pytest.mark.parametrize("closed", [False, True])
-def test_analyze_deep_graphs(closed):
-    """A 200,000-vertex directed path or cycle: both searches run as deep
-    as the graph without recursion."""
+def test_analyze_deep_graphs(closed, permuted):
+    """A 200,000-vertex directed path or cycle, in vertex order or with
+    shuffled labels: the searches run as deep as the graph without
+    recursion, and hook-and-jump connects it in few rounds whatever the
+    labels."""
     n = 200_000
-    d = Digraph(n, tuple((v, v + 1) for v in range(n - 1)) + (((n - 1, 0),) if closed else ()))
+    label = list(range(n))
+    if permuted:
+        random.Random(n).shuffle(label)
+    d = Digraph(n, tuple((label[v], label[v + 1]) for v in range(n - 1)) + (((label[-1], label[0]),) if closed else ()))
     r = analyze(d)
     assert r.weakly_connected and r.bipartite
     if closed:
@@ -252,6 +297,50 @@ def test_analyze_deep_graphs(closed):
     else:
         assert (r.scc_count, r.cross_scc_edges) == (n, n - 1)
         assert r.scc_assignment == tuple(range(n))
+
+
+def test_analyze_above_the_cut_disconnected_bipartite_with_isolated_vertices():
+    """An even cycle, a path and isolated vertices under shuffled labels, on
+    the array path."""
+    rng = random.Random(3)
+    label = list(range(30_000))
+    rng.shuffle(label)
+    cycle = [(label[v], label[(v + 1) % 6_000]) for v in range(6_000)]
+    path = [(label[v], label[v + 1]) for v in range(6_000, 15_999)]
+    edges = cycle + path
+    rng.shuffle(edges)
+    d = Digraph(30_000, tuple(edges))
+    assert d.n_edges >= _ARRAY_EDGES
+    r = analyze(d)
+    assert (r.weakly_connected, r.bipartite) == (False, True)
+    assert (r.scc_count, r.cross_scc_edges) == (1 + 24_000, 9_999)
+    assert r == _networkx_report(d)
+
+
+@pytest.mark.parametrize(
+    "d,expected",
+    [
+        (Digraph(0, ()), StructureReport(True, True, 0, 0, ())),
+        (Digraph(1, ()), StructureReport(True, True, 1, 0, (0,))),
+        (Digraph(4, ()), StructureReport(False, True, 4, 0, (0, 1, 2, 3))),
+        (Digraph(1, ((0, 0),) * 3), StructureReport(True, False, 1, 0, (0,))),
+        (Digraph(3, ((2, 2), (0, 0))), StructureReport(False, False, 3, 0, (0, 1, 2))),
+        (
+            Digraph(9_000, tuple((v, v) for v in range(9_000))),
+            StructureReport(False, False, 9_000, 0, tuple(range(9_000))),
+        ),
+    ],
+    ids=["empty", "one-vertex", "no-edges", "one-vertex-loops", "loops", "loops-above-the-cut"],
+)
+def test_analyze_edgeless_and_loop_only_graphs_on_both_paths(d, expected):
+    assert analyze(d) == _analyze_arrays(d) == expected
+
+
+def test_both_paths_agree_on_every_small_connected_multigraph():
+    graphs = list(iter_connected_multigraphs(3, 4))
+    assert len(graphs) == 467
+    for d in graphs:
+        assert _analyze_arrays(d) == analyze(d), d
 
 
 @st.composite
@@ -307,26 +396,31 @@ def test_scc_assignment_normalized(d):
     assert seen == list(range(len(seen)))
 
 
-@given(small_digraphs(max_vertices=40, max_edges=60))
-@settings(max_examples=200, deadline=None)
-def test_analyze_matches_networkx(d):
-    r = analyze(d)
+def _networkx_report(d: Digraph) -> StructureReport:
+    """The StructureReport of a graph with at least one vertex, from
+    networkx, with component ids numbered by first appearance."""
     undirected, directed = nx.MultiGraph(), nx.MultiDiGraph()
     for g in (undirected, directed):
         g.add_nodes_from(range(d.n_vertices))
         g.add_edges_from(d.edges)
     sccs = list(nx.strongly_connected_components(directed))
     comp_of = {v: i for i, scc in enumerate(sccs) for v in scc}
+    first = {}
+    return StructureReport(
+        weakly_connected=nx.is_connected(undirected),
+        bipartite=all(u != w for u, w in d.edges) and nx.is_bipartite(undirected),
+        scc_count=len(sccs),
+        cross_scc_edges=sum(comp_of[u] != comp_of[w] for u, w in d.edges),
+        scc_assignment=tuple(first.setdefault(comp_of[v], len(first)) for v in range(d.n_vertices)),
+    )
 
-    assert r.weakly_connected == nx.is_connected(undirected)
-    loopless = all(u != w for u, w in d.edges)
-    assert r.bipartite == (loopless and nx.is_bipartite(undirected))
-    assert r.scc_count == len(sccs)
-    assert r.cross_scc_edges == sum(comp_of[u] != comp_of[w] for u, w in d.edges)
-    members = {}
-    for v, c in enumerate(r.scc_assignment):
-        members.setdefault(c, set()).add(v)
-    assert sorted(map(sorted, members.values())) == sorted(map(sorted, sccs))
+
+@given(small_digraphs(max_vertices=40, max_edges=60))
+@settings(max_examples=200, deadline=None)
+def test_analyze_matches_networkx(d):
+    expected = _networkx_report(d)
+    assert analyze(d) == expected
+    assert _analyze_arrays(d) == expected
 
 
 def test_iter_connected_multigraphs_small():
