@@ -14,9 +14,9 @@ to numpy arrays once: weak components and bipartiteness come from one
 hook-and-jump connectivity pass (Shiloach and Vishkin) over the bipartite
 double cover, and Tarjan's loop runs only over the vertices that have both
 an in-edge and an out-edge; every other vertex is a component of its own.
-The arrays cost a fixed 80-130 microseconds per call, against 9-18 for the
-Python path on a graph of a few edges, and pay off only from some thousands
-of edges on; so small graphs, which the oracle checks analyze by the
+The arrays cost a fixed overhead per call, several times the whole Python
+path on a graph of a few edges, and pay off only from some thousands of
+edges on; so small graphs, which the oracle checks analyze by the
 thousand, stay on the Python path.
 
 Graph file format::
@@ -316,9 +316,10 @@ def _weak_arrays(n: int, origins: np.ndarray, ends: np.ndarray) -> tuple[bool, b
     Every node points at a root no larger than itself.  In each round every
     root hooks onto the smallest root it shares an edge with, then pointers
     jump until each points at a root.  A root that neither hooks nor is
-    hooked onto has only larger neighbours, each of which hooked onto a
-    root smaller than it; so it hooks in the next round, every two rounds at
-    least halve the roots of a component, and there are O(log n) rounds.
+    hooked onto has only larger neighbours, and each of them hooked onto a
+    root smaller than this one; so this one hooks in the next round, every
+    two rounds at least halve the roots of a component, and there are
+    O(log n) rounds.
     """
     a = np.concatenate((origins, origins + n))
     b = np.concatenate((ends + n, ends))
@@ -344,8 +345,8 @@ def _weak_arrays(n: int, origins: np.ndarray, ends: np.ndarray) -> tuple[bool, b
 def _strong_arrays(n: int, origins: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, int]:
     """Vertex -> strongly connected component id, and the number of
     components.  A vertex without an in-edge or without an out-edge lies on
-    no cycle, so it is a component of its own, and so is every edge into or
-    out of it a cross edge; Tarjan's loop runs over the other vertices only,
+    no cycle, so it is a component of its own and every edge into or out of
+    it is a cross edge.  Tarjan's loop runs over the other vertices only,
     renumbered ``0..k-1``, and the edges between them."""
     inner_vertex = (np.bincount(origins, minlength=n) > 0) & (np.bincount(ends, minlength=n) > 0)
     inner = np.flatnonzero(inner_vertex)

@@ -277,8 +277,11 @@ def test_two_cycles_bridged():
     assert r.scc_assignment == (0, 0, 1, 1)
 
 
-@pytest.mark.parametrize("permuted", [False, True])
-@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize(
+    "closed,permuted",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["False", "True", "False-permuted", "True-permuted"],
+)
 def test_analyze_deep_graphs(closed, permuted):
     """A 200,000-vertex directed path or cycle, in vertex order or with
     shuffled labels: the searches run as deep as the graph without
