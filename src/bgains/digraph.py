@@ -8,12 +8,14 @@ underlying undirected graph, and the strongly connected component
 decomposition (component count and number of cross-component edges).
 
 ``analyze`` takes one of two paths, chosen by edge count, and both give the
-same report.  Below ``_ARRAY_EDGES`` edges it runs a breadth-first search and
-Tarjan's algorithm over Python lists.  From there on it converts the edges
-to numpy arrays once: weak components and bipartiteness come from one
-hook-and-jump connectivity pass (Shiloach and Vishkin) over the bipartite
-double cover, and Tarjan's loop runs only over the vertices that have both
-an in-edge and an out-edge; every other vertex is a component of its own.
+same report.  Below ``_ARRAY_EDGES`` edges it runs Tarjan's algorithm and
+``_spanning_forest`` over Python lists.  That forest is the library's one
+breadth-first search: the enumeration frames take their trees from it too.
+From there on ``analyze`` converts the edges to numpy arrays once: weak
+components and bipartiteness come from one hook-and-jump connectivity pass
+(Shiloach and Vishkin) over the bipartite double cover, and Tarjan's loop
+runs only over the vertices that have both an in-edge and an out-edge;
+every other vertex is a component of its own.
 The arrays cost a fixed overhead per call, several times the whole Python
 path on a graph of a few edges, and pay off only from some thousands of
 edges on; so small graphs, which the oracle checks analyze by the
@@ -41,7 +43,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -221,36 +223,35 @@ def _load_lines(text: str) -> Digraph:
     return Digraph(n_declared, tuple(edges))
 
 
-def _weak_search(d: Digraph) -> tuple[int, bool]:
-    """Breadth-first search of the underlying undirected graph, restarted
-    at each unvisited vertex: the number of searches (one per weak
-    component) and whether the graph is bipartite.  BFS depths of adjacent
-    vertices differ by at most one, so an edge within one depth parity (a
-    loop included) closes an odd cycle."""
-    nbrs: list[list[int]] = [[] for _ in range(d.n_vertices)]
-    for u, w in d.edges:
-        nbrs[u].append(w)
-        nbrs[w].append(u)
-    parity = [-1] * d.n_vertices
-    searches = 0
-    bipartite = True
+def _spanning_forest(
+    d: Digraph, part: Sequence[int] | None = None
+) -> tuple[list[tuple[int, int, int, bool]], list[bool]]:
+    """Breadth-first spanning forest of the underlying undirected graph: one
+    tree per part, rooted at its smallest vertex, over the part's own edges;
+    ``part`` maps vertex -> part id, and None makes the whole graph one part.
+
+    Returns one ``(e, u, w, backwards)`` per non-root vertex w, in visit
+    order (u was reached before w; edge e joins them, running w -> u when
+    ``backwards``), and whether each vertex lies at odd depth.
+    """
+    incident: list[list[tuple[int, int, bool]]] = [[] for _ in range(d.n_vertices)]
+    for e, (u, w) in enumerate(d.edges):
+        if part is None or part[u] == part[w]:
+            incident[u].append((e, w, False))
+            incident[w].append((e, u, True))
+    odd: list = [None] * d.n_vertices  # None until visited
+    tree = []
     for root in range(d.n_vertices):
-        if parity[root] != -1:
-            continue
-        searches += 1
-        parity[root] = 0
-        queue = [root]
-        for v in queue:  # the loop also visits what it appends
-            p = parity[v]
-            q = 1 - p
-            for w in nbrs[v]:
-                x = parity[w]
-                if x == -1:
-                    parity[w] = q
-                    queue.append(w)
-                elif x == p:
-                    bipartite = False
-    return searches, bipartite
+        if odd[root] is None:
+            odd[root] = False
+            queue = [root]
+            for u in queue:  # the loop also visits what it appends
+                for e, w, backwards in incident[u]:
+                    if odd[w] is None:
+                        odd[w] = not odd[u]
+                        tree.append((e, u, w, backwards))
+                        queue.append(w)
+    return tree, odd
 
 
 def _strong_components(succ: list[list[int]]) -> tuple[list[int], int]:
@@ -382,7 +383,10 @@ def analyze(d: Digraph) -> StructureReport:
     """
     if d.n_edges >= _ARRAY_EDGES:
         return _analyze_arrays(d)
-    searches, bipartite = _weak_search(d)
+    # One tree per weak component.  Adjacent depths differ by at most one,
+    # so an edge within one depth parity (a loop included) closes an odd cycle.
+    tree, odd = _spanning_forest(d)
+    bipartite = all(odd[u] != odd[w] for u, w in d.edges)
     succ: list[list[int]] = [[] for _ in range(d.n_vertices)]
     for u, w in d.edges:
         succ[u].append(w)
@@ -390,7 +394,8 @@ def analyze(d: Digraph) -> StructureReport:
     cross = sum(comp[u] != comp[w] for u, w in d.edges)
     # Relabel component ids by first appearance over vertex index.
     relabel = dict(zip(dict.fromkeys(comp), range(n_comps)))
-    return StructureReport(searches <= 1, bipartite, n_comps, cross, tuple(map(relabel.__getitem__, comp)))
+    connected = len(tree) >= d.n_vertices - 1
+    return StructureReport(connected, bipartite, n_comps, cross, tuple(map(relabel.__getitem__, comp)))
 
 
 def _analyze_arrays(d: Digraph) -> StructureReport:

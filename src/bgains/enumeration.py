@@ -72,13 +72,13 @@ the cross-part edge values.  A labeling is balanced exactly when it
 switches to identity gains (Zaslavsky, *Biased graphs I*), that is, when
 these coordinates decode back to it; that one comparison is the balance
 check of every inverse map.  All seven bijection maps are projections of
-decoding and encoding.
+decoding and encoding.  The trees, and the odd-depth vertices of bipartite
+graphs, come from ``digraph._spanning_forest``, which ``analyze`` runs too.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, product
@@ -98,7 +98,7 @@ from .balance import (
     _edge_labeling,
     _full_labeling,
 )
-from .digraph import Digraph, StructureReport, analyze
+from .digraph import Digraph, StructureReport, _spanning_forest, analyze
 from .groups import FiniteGroup
 
 __all__ = [
@@ -148,8 +148,8 @@ class BalancedCount:
     report: StructureReport | None = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def of(cls, s: int, t: int, group: FiniteGroup) -> "BalancedCount":
-        return cls(s, t, len(group.involutions()) ** s * group.order**t)
+    def of(cls, s: int, t: int, group: FiniteGroup, report: StructureReport | None = None) -> "BalancedCount":
+        return cls(s, t, len(group.involutions()) ** s * group.order**t, report)
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,7 @@ def count(group: FiniteGroup, d: Digraph, target: str, mode: str) -> BalancedCou
     _check_mode(mode)
     report = _connected_report(d)
     s, t = _exponents(d.n_vertices, report, target, mode)
-    return BalancedCount(s, t, len(group.involutions()) ** s * group.order**t, report)
+    return BalancedCount.of(s, t, group, report)
 
 
 def _exponents(v: int, report: StructureReport, target: str, mode: str) -> tuple[int, int]:
@@ -308,35 +308,6 @@ def _check_base(d: Digraph, base: int) -> None:
 # ---------------------------------------------------------- enumeration
 
 
-def _spanning_tree(d: Digraph, part: Sequence[int]) -> tuple[list[tuple[int, int, int, bool]], list[bool]]:
-    """Breadth-first spanning forest of the underlying undirected graph: one
-    tree per part, rooted at its smallest vertex, over the part's own edges.
-
-    Returns one ``(e, u, w, backwards)`` per non-root vertex w, in visit
-    order (u was reached before w; edge e joins them, running w -> u when
-    ``backwards``), and whether each vertex lies at odd depth.
-    """
-    incident: list[list[tuple[int, int, bool]]] = [[] for _ in range(d.n_vertices)]
-    for e, (u, w) in enumerate(d.edges):
-        if part[u] == part[w]:
-            incident[u].append((e, w, False))
-            incident[w].append((e, u, True))
-    odd: list = [None] * d.n_vertices  # None until visited
-    tree = []
-    for root in range(d.n_vertices):
-        if odd[root] is None:
-            odd[root] = False
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for e, w, backwards in incident[u]:
-                    if odd[w] is None:
-                        odd[w] = not odd[u]
-                        tree.append((e, u, w, backwards))
-                        queue.append(w)
-    return tree, odd
-
-
 class _Frame:
     """The free coordinates of one instance's balanced labelings.
 
@@ -398,7 +369,7 @@ class _Frame:
 
     @cached_property
     def _forest(self):
-        return _spanning_tree(self._d, self._part)
+        return _spanning_forest(self._d, self._part if self._mode == RIGID else None)
 
     def _values(self, x: np.ndarray) -> np.ndarray:
         """The labelings of the coordinate rows ``x`` (identity appended),

@@ -661,6 +661,16 @@ def test_oracle_and_walk_checks_import_nothing_from_enumeration():
     assert {"balance", "digraph", "groups"} <= reached
 
 
+def test_oracle_and_walk_checks_name_no_frame_code():
+    # The frames' spanning forest lives in digraph, which balance imports;
+    # balance must still not reach it, nor the frames themselves.
+    tree = ast.parse((SRC / "balance.py").read_text())
+    named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    named |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    named |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert not named & {"_spanning_forest", "_Frame"}
+
+
 def test_oracle_fast_path_and_reference_share_no_walk_code():
     # brute_force_count_reference cross-checks the oracle's walk cache and
     # schedules with the folds of is_balanced_*, so neither side may name

@@ -84,18 +84,24 @@ def test_analyze_missing_file(run):
     assert "error" in err
 
 
-def test_analyze_endless_file_is_refused_under_a_memory_cap():
-    """/dev/zero never ends: the read stops one byte past the graph file
-    cap, well inside an address-space limit set in the child only."""
+def run_under_memory_cap(*argv, stdin=None):
+    """``bgains *argv`` in a child process whose address space is capped at
+    512 MiB (the limit is set in the child only), with a 60 s timeout."""
     limit = 512 * 2**20
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "bgains", "analyze", "/dev/zero"],
-        capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+    return subprocess.run(
+        [sys.executable, "-m", "bgains", *argv],
+        stdin=stdin, capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
     )
+
+
+def test_analyze_endless_file_is_refused_under_a_memory_cap():
+    """/dev/zero never ends: the read stops one byte past the graph file
+    cap, well inside an address-space limit set in the child only."""
+    proc = run_under_memory_cap("analyze", "/dev/zero")
     assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
     assert proc.stderr == f"error: /dev/zero: graph file exceeds the limit of {cli.GRAPH_FILE_LIMIT:,} bytes\n"
 
@@ -532,6 +538,31 @@ def test_group_info_refuses_deep_product_nesting(run):
     assert run("group-info", "--group", "product:cyclic:1," * (depth + 1) + "cyclic:1")[0] == EXIT_USAGE
     code, out, _ = run("group-info", "--group", "product:cyclic:1," * depth + "cyclic:1")
     assert code == EXIT_OK and json.loads(out)["order"] == 1
+
+
+def test_group_info_refuses_a_table_without_line_ends_under_a_memory_cap():
+    """/dev/zero has no line end: its first line is refused at the line cap
+    for the largest order, well inside the memory cap."""
+    proc = run_under_memory_cap("group-info", "--group", "table:/dev/zero")
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+    assert proc.stderr == "error: /dev/zero: line 1: longer than 8,272 characters\n"
+
+
+def test_group_info_refuses_an_endless_stream_of_rows_at_the_first_extra_row():
+    """An order-1 table followed by rows of ``0`` without end, through a
+    pipe: the second row is refused as soon as it is read."""
+    writer = subprocess.Popen(
+        [sys.executable, "-c", "import sys\nsys.stdout.write('1\\n')\nwhile True:\n    sys.stdout.write('0\\n' * 4096)"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+    )
+    try:
+        proc = run_under_memory_cap("group-info", "--group", "table:/dev/stdin", stdin=writer.stdout)
+    finally:
+        writer.kill()
+        writer.wait()
+        writer.stdout.close()
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+    assert proc.stderr == "error: /dev/stdin: line 3: expected 1 table rows, got more\n"
 
 
 def test_group_info_refuses_a_table_entry_past_int64(run, tmp_path):

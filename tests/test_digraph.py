@@ -17,6 +17,7 @@ from bgains.digraph import (
     _analyze_arrays,
     _load_bulk,
     _load_lines,
+    _spanning_forest,
     analyze,
     iter_connected_multigraphs,
     load_graph,
@@ -344,6 +345,55 @@ def test_both_paths_agree_on_every_small_connected_multigraph():
     assert len(graphs) == 467
     for d in graphs:
         assert _analyze_arrays(d) == analyze(d), d
+
+
+def every_small_multigraph():
+    """Every multigraph with at most 4 vertices and 3 edges, connected or
+    not, the zero-vertex graph included."""
+    for n in range(5):
+        pairs = [(u, w) for u in range(n) for w in range(n)]
+        for m in range(4):
+            for combo in itertools.combinations_with_replacement(pairs, m):
+                yield Digraph(n, combo)
+
+
+def test_both_paths_agree_on_every_small_multigraph():
+    graphs = list(every_small_multigraph())
+    assert len(graphs) == 1_229
+    assert sum(not analyze(d).weakly_connected for d in graphs) > 0
+    for d in graphs:
+        assert _analyze_arrays(d) == analyze(d), d
+
+
+def test_spanning_forest_contract_on_every_small_multigraph():
+    """One tree per connected piece of a part, over the part's own edges and
+    rooted at the piece's smallest vertex: for the whole graph a piece is a
+    weak component, for the strongly connected components it is the
+    component.  Every other vertex is reached exactly once, by an edge whose
+    ends differ in depth parity."""
+    for d in every_small_multigraph():
+        g = nx.MultiDiGraph()
+        g.add_nodes_from(range(d.n_vertices))
+        g.add_edges_from(d.edges)
+        for part, pieces in (
+            (None, nx.weakly_connected_components(g)),
+            (analyze(d).scc_assignment, nx.strongly_connected_components(g)),
+        ):
+            ids = part or (0,) * d.n_vertices
+            tree, odd = _spanning_forest(d, part)
+            assert len(odd) == d.n_vertices
+            reached = [w for _, _, w, _ in tree]
+            assert len(set(reached)) == len(reached)
+            roots = sorted(set(range(d.n_vertices)) - set(reached))
+            assert roots == sorted(map(min, pieces)), (d, part)
+            assert not any(odd[r] for r in roots)
+            seen = set(roots)
+            for e, u, w, backwards in tree:
+                assert d.edges[e] == ((w, u) if backwards else (u, w))
+                assert ids[u] == ids[w]
+                assert u in seen  # u was reached before w
+                seen.add(w)
+                assert odd[w] != odd[u]
 
 
 @st.composite
