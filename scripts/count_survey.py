@@ -17,7 +17,7 @@ import decimal
 import sys
 
 from bgains.balance import EDGES, FLEXIBLE, FULL, RIGID
-from bgains.digraph import Digraph
+from bgains.digraph import Digraph, analyze
 from bgains.enumeration import count
 from bgains.groups import make_group
 
@@ -68,8 +68,7 @@ def main() -> int:
         for n in range(max(args.min_size, 2), args.max_size + 1):
             d = build(n)
             results = [[count(group, d, target, mode) for target, mode in COMBOS] for group in groups]
-            # Every count carries the structure report it was read from.
-            report = results[0][0].report
+            report = analyze(d)  # kept on d by the counts above
             shape = "bipartite" if report.bipartite else "odd"
             print(
                 f"{name} n={n}: {d.n_edges} edges, {shape}, "

@@ -137,6 +137,13 @@ def _check_target(target: str) -> None:
         raise ValueError(f"target must be {EDGES!r} or {FULL!r}, got {target!r}")
 
 
+def _check_values(group: FiniteGroup, values: tuple[int, ...]) -> None:
+    """Values index the Cayley table, where a negative one would wrap around.
+    The bijections check theirs apart: the walk side shares no code with them."""
+    if values and (min(values) < 0 or max(values) >= group.order):
+        raise ValueError(f"labeling values must be element indices 0..{group.order - 1}")
+
+
 class EdgeUse(NamedTuple):
     """One directed traversal of an edge; ``reverse`` means against its direction."""
 
@@ -245,6 +252,7 @@ def walk_product_edges(group: FiniteGroup, d: Digraph, f: EdgeLabeling, walk: Cl
     """Ordered product of f along a closed walk (backwards uses contribute inverses)."""
     if len(f.values) != d.n_edges:
         raise ValueError(f"labeling has {len(f.values)} values for {d.n_edges} edges")
+    _check_values(group, f.values)
     _validate_walk(d, walk, f.mode)
     return _fold_edges(group, f.values, walk)
 
@@ -253,6 +261,7 @@ def walk_product_full(group: FiniteGroup, d: Digraph, h: FullLabeling, walk: Clo
     """Ordered product h(v1) h(e1) ... h(vn) h(en) along a closed walk."""
     if len(h.vertex_values) != d.n_vertices or len(h.edge_values) != d.n_edges:
         raise ValueError("labeling shape does not match the digraph")
+    _check_values(group, h.vertex_values + h.edge_values)
     _validate_walk(d, walk, h.mode)
     return _fold_full(group, h.vertex_values, h.edge_values, walk)
 
@@ -384,6 +393,7 @@ def is_balanced_edges(group: FiniteGroup, d: Digraph, f: EdgeLabeling) -> bool:
     """
     if len(f.values) != d.n_edges:
         raise ValueError(f"labeling has {len(f.values)} values for {d.n_edges} edges")
+    _check_values(group, f.values)
     e = group.identity
     return all(_fold_edges(group, f.values, w) == e for w in all_closed_walks(d, f.mode))
 
@@ -395,6 +405,7 @@ def is_balanced_full(group: FiniteGroup, d: Digraph, h: FullLabeling) -> bool:
     """
     if len(h.vertex_values) != d.n_vertices or len(h.edge_values) != d.n_edges:
         raise ValueError("labeling shape does not match the digraph")
+    _check_values(group, h.vertex_values + h.edge_values)
     e = group.identity
     return all(
         _fold_full(group, h.vertex_values, h.edge_values, w) == e

@@ -19,7 +19,8 @@ every other vertex is a component of its own.
 The arrays cost a fixed overhead per call, several times the whole Python
 path on a graph of a few edges, and pay off only from some thousands of
 edges on; so small graphs, which the oracle checks analyze by the
-thousand, stay on the Python path.
+thousand, stay on the Python path.  The report, the forests and the edge
+arrays are computed once per Digraph object, which is immutable, and kept on it.
 
 Graph file format::
 
@@ -41,6 +42,7 @@ parser, which reports the first bad line by its number.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -69,22 +71,23 @@ class Digraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        # Edges given as lists (or pairs of lists) would make the graph
-        # unhashable and unequal to its tuple form; load_graph passes
-        # tuples of tuples, which are kept as they are.
-        if type(self.edges) is not tuple or set(map(type, self.edges)) - {tuple}:
-            object.__setattr__(self, "edges", tuple((int(u), int(w)) for u, w in self.edges))
-        if self.n_vertices < 0:
-            raise ValueError(f"n_vertices must be nonnegative, got {self.n_vertices}")
-        # Whole-tuple passes find whether an edge is bad; only then are the
-        # edges walked, to name the first bad one.
-        ends = list(itertools.chain.from_iterable(self.edges))
-        if set(map(len, self.edges)) - {2} or ends and (min(ends) < 0 or max(ends) >= self.n_vertices):
-            for e, (u, w) in enumerate(self.edges):
-                if not (0 <= u < self.n_vertices and 0 <= w < self.n_vertices):
-                    raise ValueError(
-                        f"edge {e} = ({u}, {w}) has a vertex outside 0..{self.n_vertices - 1}"
-                    )
+        try:
+            n = operator.index(self.n_vertices)
+        except TypeError:
+            raise ValueError(f"n_vertices must be an integer, got {self.n_vertices!r}") from None
+        if n < 0:
+            raise ValueError(f"n_vertices must be nonnegative, got {n}")
+        # Whole-tuple passes check for a tuple of pairs of ints in range.  Only
+        # if that fails (lists, numpy ints, floats, strings, bad vertices) are
+        # the edges walked, to normalize each through operator.index, so the
+        # graph equals its tuple form, and to name the first bad one.
+        edges = self.edges if type(self.edges) is tuple else tuple(self.edges)
+        pairs = not set(map(type, edges)) - {tuple} and not set(map(len, edges)) - {2}
+        ends = list(itertools.chain.from_iterable(edges)) if pairs else []
+        if not pairs or set(map(type, ends)) - {int} or ends and (min(ends) < 0 or max(ends) >= n):
+            edges = tuple(_checked_edge(e, pair, n) for e, pair in enumerate(edges))
+        object.__setattr__(self, "n_vertices", n)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def n_edges(self) -> int:
@@ -92,7 +95,18 @@ class Digraph:
 
     @classmethod
     def from_edges(cls, n_vertices: int, edges) -> "Digraph":
-        return cls(n_vertices, tuple((int(u), int(w)) for u, w in edges))
+        return cls(n_vertices, edges)
+
+
+def _checked_edge(e: int, pair, n: int) -> tuple[int, int]:
+    """Edge ``e`` as a pair of ints in ``0..n - 1``, or a ValueError naming it."""
+    try:
+        u, w = map(operator.index, pair)
+    except (TypeError, ValueError):
+        raise ValueError(f"edge {e} = {pair!r} is not a pair of integers") from None
+    if not (0 <= u < n and 0 <= w < n):
+        raise ValueError(f"edge {e} = ({u}, {w}) has a vertex outside 0..{n - 1}")
+    return u, w
 
 
 @dataclass(frozen=True)
@@ -223,9 +237,15 @@ def _load_lines(text: str) -> Digraph:
     return Digraph(n_declared, tuple(edges))
 
 
-def _spanning_forest(
-    d: Digraph, part: Sequence[int] | None = None
-) -> tuple[list[tuple[int, int, int, bool]], list[bool]]:
+def _spanning_forest(d: Digraph, rigid: bool = False) -> tuple[tuple, tuple[bool, ...]]:
+    """``_breadth_first_forest`` per strongly connected component if ``rigid``, else of ``d``; kept on ``d``."""
+    key = "_rigid_forest" if rigid else "_forest"
+    if key not in d.__dict__:
+        d.__dict__[key] = _breadth_first_forest(d, analyze(d).scc_assignment if rigid else None)
+    return d.__dict__[key]
+
+
+def _breadth_first_forest(d: Digraph, part: Sequence[int] | None) -> tuple[tuple, tuple[bool, ...]]:
     """Breadth-first spanning forest of the underlying undirected graph: one
     tree per part, rooted at its smallest vertex, over the part's own edges;
     ``part`` maps vertex -> part id, and None makes the whole graph one part.
@@ -251,7 +271,16 @@ def _spanning_forest(
                         odd[w] = not odd[u]
                         tree.append((e, u, w, backwards))
                         queue.append(w)
-    return tree, odd
+    return tuple(tree), tuple(odd)
+
+
+def _edge_ends(d: Digraph) -> np.ndarray:
+    """Origins and endpoints, the two rows of a read-only array; kept on ``d``."""
+    if "_ends" not in d.__dict__:
+        ends = np.fromiter(itertools.chain.from_iterable(d.edges), np.intp, 2 * d.n_edges).reshape(-1, 2).T.copy()
+        ends.flags.writeable = False
+        d.__dict__["_ends"] = ends
+    return d.__dict__["_ends"]
 
 
 def _strong_components(succ: list[list[int]]) -> tuple[list[int], int]:
@@ -379,10 +408,12 @@ def analyze(d: Digraph) -> StructureReport:
     Deterministic and independent of edge order; loops make the graph
     non-bipartite.  A graph of fewer than ``_ARRAY_EDGES`` edges is searched
     over Python lists, a larger one on numpy arrays (see the module
-    docstring); the report is the same either way.
+    docstring); the report is the same either way, and is kept on ``d``.
     """
+    if "_report" in d.__dict__:
+        return d.__dict__["_report"]
     if d.n_edges >= _ARRAY_EDGES:
-        return _analyze_arrays(d)
+        return d.__dict__.setdefault("_report", _analyze_arrays(d))
     # One tree per weak component.  Adjacent depths differ by at most one,
     # so an edge within one depth parity (a loop included) closes an odd cycle.
     tree, odd = _spanning_forest(d)
@@ -395,7 +426,8 @@ def analyze(d: Digraph) -> StructureReport:
     # Relabel component ids by first appearance over vertex index.
     relabel = dict(zip(dict.fromkeys(comp), range(n_comps)))
     connected = len(tree) >= d.n_vertices - 1
-    return StructureReport(connected, bipartite, n_comps, cross, tuple(map(relabel.__getitem__, comp)))
+    report = StructureReport(connected, bipartite, n_comps, cross, tuple(map(relabel.__getitem__, comp)))
+    return d.__dict__.setdefault("_report", report)
 
 
 def _analyze_arrays(d: Digraph) -> StructureReport:

@@ -73,15 +73,14 @@ switches to identity gains (Zaslavsky, *Biased graphs I*), that is, when
 these coordinates decode back to it; that one comparison is the balance
 check of every inverse map.  All seven bijection maps are projections of
 decoding and encoding.  The trees, and the odd-depth vertices of bipartite
-graphs, come from ``digraph._spanning_forest``, which ``analyze`` runs too.
+graphs, come from ``digraph._spanning_forest``, which keeps them on the graph.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain, product
+from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -98,7 +97,7 @@ from .balance import (
     _edge_labeling,
     _full_labeling,
 )
-from .digraph import Digraph, StructureReport, _spanning_forest, analyze
+from .digraph import Digraph, StructureReport, _edge_ends, _spanning_forest, analyze
 from .groups import FiniteGroup
 
 __all__ = [
@@ -135,21 +134,15 @@ class UnbalancedLabelingError(ValueError):
 
 @dataclass(frozen=True)
 class BalancedCount:
-    """Exact count in factored form: value = |G2|^s * |G|^t.
-
-    ``count`` also attaches the structure report its exponents were read
-    from, so a caller that shows the structure too need not run
-    ``analyze`` again.  The report takes no part in comparisons.
-    """
+    """Exact count in factored form: value = |G2|^s * |G|^t."""
 
     s: int
     t: int
     value: int
-    report: StructureReport | None = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def of(cls, s: int, t: int, group: FiniteGroup, report: StructureReport | None = None) -> "BalancedCount":
-        return cls(s, t, len(group.involutions()) ** s * group.order**t, report)
+    def of(cls, s: int, t: int, group: FiniteGroup) -> "BalancedCount":
+        return cls(s, t, len(group.involutions()) ** s * group.order**t)
 
 
 @dataclass(frozen=True)
@@ -177,9 +170,8 @@ def count(group: FiniteGroup, d: Digraph, target: str, mode: str) -> BalancedCou
     """Exact number of balanced labelings, from the closed forms above."""
     _check_target(target)
     _check_mode(mode)
-    report = _connected_report(d)
-    s, t = _exponents(d.n_vertices, report, target, mode)
-    return BalancedCount.of(s, t, group, report)
+    s, t = _exponents(d.n_vertices, _connected_report(d), target, mode)
+    return BalancedCount.of(s, t, group)
 
 
 def _exponents(v: int, report: StructureReport, target: str, mode: str) -> tuple[int, int]:
@@ -204,6 +196,7 @@ def potential_to_edges(group: FiniteGroup, d: Digraph, p: Potential) -> EdgeLabe
     """f(e) = p(origin)^-1 * p(endpoint); always balanced in flexible mode."""
     if len(p.values) != d.n_vertices:
         raise ValueError(f"potential has {len(p.values)} values for {d.n_vertices} vertices")
+    _check_elements(group, p.values)
     mul, inv = group.mul, group.inv
     return EdgeLabeling(
         tuple(mul(inv(p.values[u]), p.values[w]) for u, w in d.edges), FLEXIBLE
@@ -230,12 +223,12 @@ def _extend(group: FiniteGroup, d: Digraph, a: int, f: EdgeLabeling, base: int, 
     _check_elements(group, (a,))
     if not bipartite and group.mul(a, a) != group.identity:
         raise ValueError(f"element {a} is not an involution")
-    edges, full = _frames(group, d, FLEXIBLE)
+    full = _Frame(group, d, FULL, FLEXIBLE)
     _check_base(d, base)
     if (full._odd is not None) != bipartite:
         no, use = ("not ", "odd") if bipartite else ("", "bipartite")
         raise UnbalancedLabelingError(f"the underlying graph is {no}bipartite; use pair_to_full_{use}")
-    p = (group.identity, *edges.encode(f))
+    p = (group.identity, *_Frame(group, d, EDGES, FLEXIBLE).encode(f))
     if bipartite and full._odd[base]:
         a = group.inverse[a]
     return full.decode((full._head_coordinate[group.conj(a, group.inverse[p[base]])], *p[1:]))
@@ -272,27 +265,26 @@ def full_to_pair(group: FiniteGroup, d: Digraph, h: FullLabeling, base: int = 0)
     f is h's edge values on bipartite graphs, otherwise ``f(e) = h(origin)
     h(e)``; raises UnbalancedLabelingError when h is not balanced.
     """
-    edges, full = _frames(group, d, FLEXIBLE)
+    full = _Frame(group, d, FULL, FLEXIBLE)
     _check_base(d, base)
-    return h.vertex_values[base], edges.decode(full.encode(h)[1:])
+    return h.vertex_values[base], _Frame(group, d, EDGES, FLEXIBLE).decode(full.encode(h)[1:])
 
 
 def pair_to_full_rigid(
     group: FiniteGroup, d: Digraph, vertex_values: tuple[int, ...], f: EdgeLabeling
 ) -> FullLabeling:
     """Pair free vertex values with a balanced rigid f: h(e) = h(origin)^-1 f(e)."""
-    edges, full = _frames(group, d, RIGID)
+    full = _Frame(group, d, FULL, RIGID)
     if len(vertex_values) != d.n_vertices:
         raise ValueError("vertex value tuple does not match the digraph")
     _check_elements(group, vertex_values)
-    return full.decode((*vertex_values, *edges.encode(f)))
+    return full.decode((*vertex_values, *_Frame(group, d, EDGES, RIGID).encode(f)))
 
 
 def full_to_pair_rigid(group: FiniteGroup, d: Digraph, h: FullLabeling) -> tuple[tuple[int, ...], EdgeLabeling]:
     """Inverse of pair_to_full_rigid: f(e) = h(origin) h(e); h must be balanced."""
-    edges, full = _frames(group, d, RIGID)
-    coords = full.encode(h)
-    return tuple(coords[: d.n_vertices]), edges.decode(coords[d.n_vertices :])
+    coords = _Frame(group, d, FULL, RIGID).encode(h)
+    return tuple(coords[: d.n_vertices]), _Frame(group, d, EDGES, RIGID).decode(coords[d.n_vertices :])
 
 
 def _check_elements(group: FiniteGroup, values) -> None:
@@ -321,8 +313,8 @@ class _Frame:
 
     _odd = None  # on bipartite full flexible frames, the odd-depth vertices
 
-    def __init__(self, group: FiniteGroup, d: Digraph, target: str, mode: str, report: StructureReport | None = None):
-        report = report or _connected_report(d)
+    def __init__(self, group: FiniteGroup, d: Digraph, target: str, mode: str):
+        report = _connected_report(d)
         s, t = _exponents(d.n_vertices, report, target, mode)
         self.radices = (len(group.involutions()),) * s + (group.order,) * t
         self._group, self._d, self._target, self._mode = group, d, target, mode
@@ -335,7 +327,7 @@ class _Frame:
         # reads that identity as its potential, the other vertices read the
         # next coordinates, and each cross-part edge reads its own coordinate
         # x as the "potential difference" identity^-1 x.
-        part = self._part = report.scc_assignment if mode == RIGID else (0,) * n
+        part = report.scc_assignment if mode == RIGID else (0,) * n
         # Coordinates ahead of the potential: none for edge labelings, the
         # vertex values for rigid full ones, the base element a otherwise.
         if target == EDGES:
@@ -349,7 +341,7 @@ class _Frame:
             self._head_coordinate = {a: c for c, a in enumerate(heads)}
             self._inverse = np.array(group.inverse, dtype=np.intp)
             if report.bipartite:
-                self._odd = np.array(self._forest[1])
+                self._odd = np.array(_spanning_forest(d)[1])
         # Part ids are numbered by first appearance, so a part's smallest
         # vertex is where their running maximum steps up.
         k = len(self.radices)
@@ -359,17 +351,12 @@ class _Frame:
         first_cross = self._lead + np.count_nonzero(later)
         p = np.full(n, k, dtype=np.intp)
         p[later] = np.arange(self._lead, first_cross)
-        ends = np.fromiter(chain.from_iterable(d.edges), dtype=np.intp, count=2 * d.n_edges)
-        self._origins, endpoints = ends.reshape(-1, 2).T.copy()
+        self._origins, endpoints = _edge_ends(d)
         cross = part[self._origins] != part[endpoints]
         self._potential_slots = p
         self._origin_slots = np.where(cross, k, p[self._origins])
         self._endpoint_slots = p[endpoints]
         self._endpoint_slots[cross] = np.arange(first_cross, k)
-
-    @cached_property
-    def _forest(self):
-        return _spanning_forest(self._d, self._part if self._mode == RIGID else None)
 
     def _values(self, x: np.ndarray) -> np.ndarray:
         """The labelings of the coordinate rows ``x`` (identity appended),
@@ -436,7 +423,7 @@ class _Frame:
         if self._target == FULL and self._odd is None:
             f = [table[h[u]][x] for (u, _), x in zip(self._d.edges, f)]  # f(e) = h(origin) h(e)
         p = [group.identity] * self._n
-        for e, u, w, backwards in self._forest[0]:
+        for e, u, w, backwards in _spanning_forest(self._d, self._mode == RIGID)[0]:
             p[w] = table[p[u]][inverse[f[e]] if backwards else f[e]]
         # Inside a part an edge's endpoint slot is a potential slot, which
         # the second assignment overwrites; roots write the identity to k.
@@ -449,12 +436,6 @@ class _Frame:
         if self._values(x[None])[0].tolist() != values:
             raise UnbalancedLabelingError("the labeling is not balanced")
         return x[:k].tolist()
-
-
-def _frames(group: FiniteGroup, d: Digraph, mode: str) -> tuple[_Frame, _Frame]:
-    """The edge and full frames of one instance, from one ``analyze``."""
-    report = _connected_report(d)
-    return _Frame(group, d, EDGES, mode, report), _Frame(group, d, FULL, mode, report)
 
 
 def enumerate_all(

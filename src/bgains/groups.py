@@ -305,8 +305,9 @@ def load_cayley_table(path: str) -> FiniteGroup:
 
     Format: first significant line is the order n, then n lines of n
     integers in 0..n-1 (row a lists a*0, a*1, ...).  ``#`` starts a comment.
-    A line holds at most ``80 + 8 * n`` characters, line end included.  The
-    identity is detected but elements are NOT renumbered.
+    A line holds at most ``80 + 8 * n`` characters, line end included, and
+    the file at most ``100 + 2 * n`` lines, blank and comment lines included.
+    The identity is detected but elements are NOT renumbered.
     """
     try:
         fh = open(path, encoding="utf-8")
@@ -317,13 +318,16 @@ def load_cayley_table(path: str) -> FiniteGroup:
     order: int | None = None
     # Lines are read with a cap, so that a file without line ends cannot
     # exhaust memory: 8 characters per entry, 80 more for a comment, and
-    # before the order line, the cap of the largest order.
-    limit = 80 + 8 * _ORDER_LIMIT
+    # before the order line, the cap of the largest order.  The lines are
+    # capped as well, so that an endless stream of blank lines ends too.
+    limit, max_lines = 80 + 8 * _ORDER_LIMIT, 100 + 2 * _ORDER_LIMIT
     with fh:
         for lineno in itertools.count(1):
             line = fh.readline(limit + 1)
             if not line:
                 break
+            if lineno > max_lines:
+                raise GroupSpecError(f"{path}: line {lineno}: more than {max_lines:,} lines")
             if len(line) > limit:
                 raise GroupSpecError(f"{path}: line {lineno}: longer than {limit:,} characters")
             text = line.split("#", 1)[0].strip()
@@ -341,7 +345,7 @@ def load_cayley_table(path: str) -> FiniteGroup:
                     raise GroupSpecError(f"{path}: line {lineno}: order must be >= 1")
                 # Before any row is read: the rows alone take order^2 memory.
                 _check_order("table", order)
-                limit = 80 + 8 * order
+                limit, max_lines = 80 + 8 * order, 100 + 2 * order
                 continue
             if len(rows) == order:
                 raise GroupSpecError(f"{path}: line {lineno}: expected {order} table rows, got more")

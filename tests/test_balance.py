@@ -191,6 +191,25 @@ def test_walk_product_validation():
         walk_product_edges(g, d, rigid, ClosedWalk((0, 1), (EdgeUse(0, False), EdgeUse(0, True))))
 
 
+@pytest.mark.parametrize("value", [-3, -1, 3, 7])
+def test_walk_side_refuses_values_outside_the_group(value):
+    """Values index the Cayley table, so a negative one would wrap around:
+    over cyclic:3, a loop's vertex value -3 would read as the identity."""
+    g = make_group("cyclic:3")
+    loop = Digraph(1, ((0, 0),))
+    walk = ClosedWalk((0,), (EdgeUse(0, False),))
+    f = EdgeLabeling((value,))
+    for h in (FullLabeling((value,), (0,)), FullLabeling((0,), (value,))):
+        with pytest.raises(ValueError, match="element indices"):
+            is_balanced_full(g, loop, h)
+        with pytest.raises(ValueError, match="element indices"):
+            walk_product_full(g, loop, h, walk)
+    with pytest.raises(ValueError, match="element indices"):
+        is_balanced_edges(g, loop, f)
+    with pytest.raises(ValueError, match="element indices"):
+        walk_product_edges(g, loop, f, walk)
+
+
 def test_full_product_single_edge_relation():
     # going out and back along one edge: h(v) h(e) h(w) h(e)^-1 == identity
     # exactly when h(v) h(e) h(w) == h(e).
@@ -662,13 +681,13 @@ def test_oracle_and_walk_checks_import_nothing_from_enumeration():
 
 
 def test_oracle_and_walk_checks_name_no_frame_code():
-    # The frames' spanning forest lives in digraph, which balance imports;
-    # balance must still not reach it, nor the frames themselves.
+    # The frames' spanning forest and edge arrays live in digraph, which
+    # balance imports; balance must still not reach them, nor the frames.
     tree = ast.parse((SRC / "balance.py").read_text())
     named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     named |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     named |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
-    assert not named & {"_spanning_forest", "_Frame"}
+    assert not named & {"_spanning_forest", "_breadth_first_forest", "_edge_ends", "_Frame"}
 
 
 def test_oracle_fast_path_and_reference_share_no_walk_code():

@@ -10,10 +10,10 @@ import tracemalloc
 
 import pytest
 
-from bgains import cli, enumeration, groups
+from bgains import cli, digraph, enumeration, groups
 from bgains.balance import FULL, RIGID, FullLabeling, is_balanced_full
 from bgains.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
-from bgains.digraph import analyze, load_graph
+from bgains.digraph import load_graph
 from bgains.groups import make_group
 
 from graph_helpers import DATA, HashingStdout, cli_stdout_sha256, data_text
@@ -182,14 +182,12 @@ def test_count_deterministic(run):
 
 
 def test_count_analyzes_the_graph_once(run, monkeypatch):
+    """``count`` and the JSON's structure fields share one computation.  The
+    spy sits behind the report that ``analyze`` keeps, on the Tarjan search
+    that both of its paths run once."""
     calls = []
-
-    def counted(d):
-        calls.append(d)
-        return analyze(d)
-
-    monkeypatch.setattr(cli, "analyze", counted)
-    monkeypatch.setattr(enumeration, "analyze", counted)
+    search = digraph._strong_components
+    monkeypatch.setattr(digraph, "_strong_components", lambda succ: calls.append(succ) or search(succ))
     report = count_json(run, THETA, "symmetric:3", "full", "rigid")
     assert len(calls) == 1
     assert (report["scc_count"], report["cross_scc_edges"]) == (1, 0)
@@ -563,6 +561,23 @@ def test_group_info_refuses_an_endless_stream_of_rows_at_the_first_extra_row():
         writer.stdout.close()
     assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
     assert proc.stderr == "error: /dev/stdin: line 3: expected 1 table rows, got more\n"
+
+
+def test_group_info_refuses_an_endless_stream_of_blank_lines_at_the_line_cap():
+    """Blank lines without end, through a pipe: before the order line the
+    file may hold the lines of the largest order, and no more."""
+    writer = subprocess.Popen(
+        [sys.executable, "-c", "import sys\nwhile True:\n    sys.stdout.write('\\n' * 4096)"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+    )
+    try:
+        proc = run_under_memory_cap("group-info", "--group", "table:/dev/stdin", stdin=writer.stdout)
+    finally:
+        writer.kill()
+        writer.wait()
+        writer.stdout.close()
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+    assert proc.stderr == "error: /dev/stdin: line 2149: more than 2,148 lines\n"
 
 
 def test_group_info_refuses_a_table_entry_past_int64(run, tmp_path):

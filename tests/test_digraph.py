@@ -5,6 +5,7 @@ import random
 import tracemalloc
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -210,6 +211,31 @@ def test_from_edges_validates():
         Digraph.from_edges(2, [(0, 2)])
 
 
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (2, ((0, 1.0),), "edge 0 = (0, 1.0) is not a pair of integers"),
+        (2, ((0, 1), (1, "0")), "edge 1 = (1, '0') is not a pair of integers"),
+        (2, [(0, 1), (0, 1, 1)], "edge 1 = (0, 1, 1) is not a pair of integers"),
+        (2.5, ((0, 1),), "n_vertices must be an integer, got 2.5"),
+        ("2", (), "n_vertices must be an integer, got '2'"),
+    ],
+)
+def test_non_integer_input_is_refused(n, edges, message):
+    with pytest.raises(ValueError) as exc:
+        Digraph(n, edges)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError):
+        Digraph.from_edges(n, edges)
+
+
+def test_integer_likes_are_normalised_to_ints():
+    d = Digraph(np.int64(3), ((np.int64(0), np.int32(1)), (1, np.uint8(2))))
+    assert d == Digraph(3, ((0, 1), (1, 2)))
+    assert type(d.n_vertices) is int and {type(v) for e in d.edges for v in e} == {int}
+    assert analyze(d).scc_count == 3
+
+
 def test_list_edges_are_normalised_to_tuples():
     d = Digraph(3, [[0, 1], (1, 2), [2, 0]])
     assert d.edges == ((0, 1), (1, 2), (2, 0))
@@ -375,17 +401,17 @@ def test_spanning_forest_contract_on_every_small_multigraph():
         g = nx.MultiDiGraph()
         g.add_nodes_from(range(d.n_vertices))
         g.add_edges_from(d.edges)
-        for part, pieces in (
-            (None, nx.weakly_connected_components(g)),
-            (analyze(d).scc_assignment, nx.strongly_connected_components(g)),
+        for rigid, pieces in (
+            (False, nx.weakly_connected_components(g)),
+            (True, nx.strongly_connected_components(g)),
         ):
-            ids = part or (0,) * d.n_vertices
-            tree, odd = _spanning_forest(d, part)
+            ids = analyze(d).scc_assignment if rigid else (0,) * d.n_vertices
+            tree, odd = _spanning_forest(d, rigid)
             assert len(odd) == d.n_vertices
             reached = [w for _, _, w, _ in tree]
             assert len(set(reached)) == len(reached)
             roots = sorted(set(range(d.n_vertices)) - set(reached))
-            assert roots == sorted(map(min, pieces)), (d, part)
+            assert roots == sorted(map(min, pieces)), (d, rigid)
             assert not any(odd[r] for r in roots)
             seen = set(roots)
             for e, u, w, backwards in tree:

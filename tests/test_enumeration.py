@@ -36,7 +36,7 @@ from bgains.enumeration import (
     potential_to_edges,
     sample_uniform,
 )
-from bgains import enumeration
+from bgains import digraph, enumeration
 from bgains.groups import make_group
 
 from graph_helpers import DATA, random_connected_digraph
@@ -275,6 +275,8 @@ def test_pair_to_full_odd_rejects_bipartite_graphs(path2):
 def test_labeling_values_must_be_element_indices(path2, triangle, value):
     g = make_group("cyclic:3")
     with pytest.raises(ValueError, match="element indices"):
+        potential_to_edges(g, path2, Potential((value, 0)))
+    with pytest.raises(ValueError, match="element indices"):
         edges_to_potential(g, path2, EdgeLabeling((value,)))
     with pytest.raises(ValueError, match="element indices"):
         full_to_pair_rigid(g, path2, FullLabeling((0, value), (0,), RIGID))
@@ -434,6 +436,48 @@ def test_stream_and_sample_analyze_the_graph_once(monkeypatch, triangle, target,
     assert len(calls) == 1
     sample_uniform(g, triangle, target, mode, seed=3)
     assert len(calls) == 2
+
+
+def _kept_graph(size: str) -> Digraph:
+    """Below ``_ARRAY_EDGES``: a directed 4-cycle with a pendant edge, which
+    is bipartite.  Above it: a directed 101-cycle with every later vertex v
+    hung off v // 2, which is not.  Both have cross-component edges."""
+    if size == "small":
+        return Digraph(5, ((0, 1), (1, 2), (2, 3), (3, 0), (3, 4)))
+    n = digraph._ARRAY_EDGES + 8
+    return Digraph(n, tuple((v, (v + 1) % 101) for v in range(101)) + tuple((v // 2, v) for v in range(101, n)))
+
+
+@pytest.mark.parametrize("size", ["small", "large"])
+def test_a_kept_graph_is_analyzed_once_and_searched_once_per_part_choice(monkeypatch, size):
+    """Counts, streams, samples and every applicable bijection map, in all
+    four cases, share one structure computation and at most one spanning
+    forest per part choice (whole graph or strongly connected components)."""
+    d, g = _kept_graph(size), make_group("symmetric:3")
+    assert (d.n_edges >= digraph._ARRAY_EDGES) == (size == "large")
+    # Both paths of analyze run the Tarjan search once; the array path is
+    # spied on as well, to tell the two apart.
+    analyses, forests = [], []
+    tarjan, arrays = digraph._strong_components, digraph._analyze_arrays
+    monkeypatch.setattr(digraph, "_strong_components", lambda succ: analyses.append("tarjan") or tarjan(succ))
+    monkeypatch.setattr(digraph, "_analyze_arrays", lambda d: analyses.append("arrays") or arrays(d))
+    search = digraph._breadth_first_forest
+    monkeypatch.setattr(
+        digraph, "_breadth_first_forest", lambda d, part: forests.append(part is not None) or search(d, part)
+    )
+    for seed, (target, mode) in enumerate(CASES):
+        assert count(g, d, target, mode).value > 1
+        assert len(list(itertools.islice(enumerate_all(g, d, target, mode), 3))) == 3
+        lab = sample_uniform(g, d, target, mode, seed)
+        if (target, mode) == (EDGES, FLEXIBLE):
+            assert potential_to_edges(g, d, edges_to_potential(g, d, lab)) == lab
+        elif (target, mode) == (FULL, FLEXIBLE):
+            extend = pair_to_full_bipartite if analyze(d).bipartite else pair_to_full_odd
+            assert extend(g, d, *full_to_pair(g, d, lab)) == lab
+        elif (target, mode) == (FULL, RIGID):
+            assert pair_to_full_rigid(g, d, *full_to_pair_rigid(g, d, lab)) == lab
+    assert analyses == (["tarjan"] if size == "small" else ["arrays", "tarjan"])
+    assert sorted(forests) == [False, True]
 
 
 # ------------------------------------------------------------ sampling

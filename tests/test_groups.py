@@ -364,6 +364,7 @@ def test_table_file_associativity_violation(tmp_path):
         ("2\n0 3\n1 0", "outside 0..1"),
         ("1\n0\n0\n0\n", "line 3: expected 1 table rows, got more"),
         ("2\n0 1 #" + "-" * 92 + "\n1 0", "line 2: longer than 96 characters"),
+        ("1\n" + "\n" * 101 + "0\n", "line 103: more than 102 lines"),
     ],
 )
 def test_table_file_parse_errors(tmp_path, content, message):
