@@ -115,16 +115,18 @@ class OracleBudgetError(RuntimeError):
     """The brute-force candidate space exceeds the configured budget."""
 
     def __init__(self, required: int, budget: int):
+        super().__init__()
         self.required = required
         self.budget = budget
-        # decimal, unlike str, prints counts past the int-to-str digit limit.
+
+    def __str__(self) -> str:
+        # Built only when printed, since decimal, which unlike str prints
+        # past the int-to-str digit limit, takes time quadratic in the digits.
         # Imported here so that ``import bgains`` does not pay for it.
         import decimal
 
-        super().__init__(
-            f"brute force requires {decimal.Decimal(required)} candidate labelings, "
-            f"exceeding the budget of {budget}"
-        )
+        required = decimal.Decimal(self.required)
+        return f"brute force requires {required} candidate labelings, exceeding the budget of {self.budget}"
 
 
 def _check_mode(mode: str) -> None:

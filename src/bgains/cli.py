@@ -35,6 +35,7 @@ from .balance import (
     RIGID,
     EdgeLabeling,
     OracleBudgetError,
+    _slot_count,
     brute_force_count,
 )
 from .digraph import Digraph, GraphFormatError, analyze, load_graph
@@ -80,12 +81,6 @@ def _tokens(group: FiniteGroup, show_elements: bool) -> tuple[str, ...]:
     if show_elements:
         return group.element_names
     return tuple(map(str, range(group.order)))
-
-
-def _decimal(n: int) -> str:
-    """Base-10 digits of ``n``.  Counts can exceed the interpreter's
-    int-to-str digit limit, which ``decimal`` does not apply."""
-    return str(decimal.Decimal(n))
 
 
 # Exact integer arithmetic: any result that would need rounding raises.
@@ -161,7 +156,9 @@ def cmd_verify(args) -> int:
     try:
         oracle = brute_force_count(group, d, args.target, args.mode, budget=budget)
     except OracleBudgetError as exc:
-        print(f"BUDGET: instance requires {_decimal(exc.required)} candidates, budget is {exc.budget}")
+        # exc.required is group.order ** slots; converting it would be quadratic.
+        required = _EXACT.power(group.order, _slot_count(d, args.target))
+        print(f"BUDGET: instance requires {required} candidates, budget is {exc.budget}")
         return EXIT_BUDGET
     if formula == oracle:
         print(f"PASS: formula {formula} == oracle {oracle}")
@@ -179,7 +176,7 @@ def cmd_enumerate(args) -> int:
     # islice stops at sys.maxsize at most; no stream gets that far.
     shown = lines if args.limit is None else islice(lines, min(args.limit, sys.maxsize))
     # One write per block's worth of values keeps the text in memory bounded.
-    width = d.n_edges + (d.n_vertices if args.target == FULL else 0)
+    width = _slot_count(d, args.target)
     per_write = max(1, BLOCK_VALUES // max(1, width))
     while chunk := list(islice(shown, per_write)):
         sys.stdout.write("\n".join(chunk) + "\n")

@@ -11,7 +11,7 @@ decomposition (component count and number of cross-component edges).
 same report.  Below ``_ARRAY_EDGES`` edges it runs Tarjan's algorithm and
 ``_spanning_forest`` over Python lists.  That forest is the library's one
 breadth-first search: the enumeration frames take their trees from it too.
-From there on ``analyze`` converts the edges to numpy arrays once: weak
+From there on ``analyze`` works on the edge arrays of ``_edge_ends``: weak
 components and bipartiteness come from one hook-and-jump connectivity pass
 (Shiloach and Vishkin) over the bipartite double cover, and Tarjan's loop
 runs only over the vertices that have both an in-edge and an out-edge;
@@ -37,6 +37,10 @@ line ends) is parsed in bulk: one regular-expression search for a line
 outside the format, one numpy conversion of all the integers and one range
 check.  Any other text, malformed or not, goes through the line-by-line
 parser, which reports the first bad line by its number.
+
+The constructor checks every edge.  Three builders skip it, since each has
+checked or generated every edge itself: the bulk parser, the line parser
+and ``iter_connected_multigraphs``.
 """
 
 from __future__ import annotations
@@ -77,15 +81,7 @@ class Digraph:
             raise ValueError(f"n_vertices must be an integer, got {self.n_vertices!r}") from None
         if n < 0:
             raise ValueError(f"n_vertices must be nonnegative, got {n}")
-        # Whole-tuple passes check for a tuple of pairs of ints in range.  Only
-        # if that fails (lists, numpy ints, floats, strings, bad vertices) are
-        # the edges walked, to normalize each through operator.index, so the
-        # graph equals its tuple form, and to name the first bad one.
-        edges = self.edges if type(self.edges) is tuple else tuple(self.edges)
-        pairs = not set(map(type, edges)) - {tuple} and not set(map(len, edges)) - {2}
-        ends = list(itertools.chain.from_iterable(edges)) if pairs else []
-        if not pairs or set(map(type, ends)) - {int} or ends and (min(ends) < 0 or max(ends) >= n):
-            edges = tuple(_checked_edge(e, pair, n) for e, pair in enumerate(edges))
+        edges = tuple(_checked_edge(e, pair, n) for e, pair in enumerate(self.edges))
         object.__setattr__(self, "n_vertices", n)
         object.__setattr__(self, "edges", edges)
 
@@ -93,20 +89,19 @@ class Digraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    @classmethod
-    def from_edges(cls, n_vertices: int, edges) -> "Digraph":
-        return cls(n_vertices, edges)
-
 
 def _checked_edge(e: int, pair, n: int) -> tuple[int, int]:
-    """Edge ``e`` as a pair of ints in ``0..n - 1``, or a ValueError naming it."""
+    """Edge ``e`` as a pair of ints in ``0..n - 1``, or a ValueError naming
+    it.  Integer-likes become ints and lists tuples, so a graph equals its
+    tuple form; a tuple of two ints is kept as it is."""
     try:
         u, w = map(operator.index, pair)
     except (TypeError, ValueError):
         raise ValueError(f"edge {e} = {pair!r} is not a pair of integers") from None
     if not (0 <= u < n and 0 <= w < n):
         raise ValueError(f"edge {e} = ({u}, {w}) has a vertex outside 0..{n - 1}")
-    return u, w
+    # operator.index returns an int itself and makes a new int of anything else.
+    return pair if type(pair) is tuple and pair[0] is u and pair[1] is w else (u, w)
 
 
 @dataclass(frozen=True)
@@ -179,9 +174,8 @@ def _load_bulk(text: str) -> Digraph | None:
 def _prechecked_digraph(n_vertices: int, edges: tuple[tuple[int, int], ...]) -> Digraph:
     """A Digraph built without ``Digraph.__post_init__``, whose checks the
     caller has already made: ``n_vertices`` is a nonnegative int and
-    ``edges`` a tuple of pairs of ints in ``0..n_vertices - 1``.  For the
-    bulk parser, which has matched every index to digits, read them as
-    ints, paired them and compared their maximum with the vertex count."""
+    ``edges`` a tuple of pairs of ints in ``0..n_vertices - 1``.  Three
+    builders call it: the bulk and line parsers and ``iter_connected_multigraphs``."""
     d = object.__new__(Digraph)
     d.__dict__.update(n_vertices=n_vertices, edges=edges)
     return d
@@ -234,7 +228,7 @@ def _load_lines(text: str) -> Digraph:
         if not edges:
             raise GraphFormatError("no n= line and no edges: vertex count is undefined")
         n_declared = 1 + max(max(u, w) for u, w in edges)
-    return Digraph(n_declared, tuple(edges))
+    return _prechecked_digraph(n_declared, tuple(edges))
 
 
 def _spanning_forest(d: Digraph, rigid: bool = False) -> tuple[tuple, tuple[bool, ...]]:
@@ -275,9 +269,11 @@ def _breadth_first_forest(d: Digraph, part: Sequence[int] | None) -> tuple[tuple
 
 
 def _edge_ends(d: Digraph) -> np.ndarray:
-    """Origins and endpoints, the two rows of a read-only array; kept on ``d``."""
+    """Origins and endpoints, the two rows of a read-only array; kept on ``d``.
+    int32 below 2**30 vertices, where the double cover's nodes, up to 2n - 1, fit."""
     if "_ends" not in d.__dict__:
-        ends = np.fromiter(itertools.chain.from_iterable(d.edges), np.intp, 2 * d.n_edges).reshape(-1, 2).T.copy()
+        dtype = np.int32 if d.n_vertices < 2**30 else np.int64
+        ends = np.fromiter(itertools.chain.from_iterable(d.edges), dtype, 2 * d.n_edges).reshape(-1, 2).T.copy()
         ends.flags.writeable = False
         d.__dict__["_ends"] = ends
     return d.__dict__["_ends"]
@@ -433,11 +429,7 @@ def analyze(d: Digraph) -> StructureReport:
 def _analyze_arrays(d: Digraph) -> StructureReport:
     """``analyze`` on numpy arrays."""
     n = d.n_vertices
-    # The double cover numbers nodes up to 2n - 1.
-    pairs = np.fromiter(
-        itertools.chain.from_iterable(d.edges), np.int32 if n < 2**30 else np.int64, 2 * d.n_edges
-    ).reshape(-1, 2)
-    origins, ends = pairs[:, 0], pairs[:, 1]
+    origins, ends = _edge_ends(d)
     weakly_connected, bipartite = _weak_arrays(n, origins, ends)
     comp, n_comps = _strong_arrays(n, origins, ends)
     cross = int(np.count_nonzero(comp[origins] != comp[ends]))
@@ -459,6 +451,6 @@ def iter_connected_multigraphs(max_vertices: int, max_edges: int) -> Iterator[Di
         pairs = [(u, w) for u in range(n) for w in range(n)]
         for m in range(max_edges + 1):
             for combo in itertools.combinations_with_replacement(pairs, m):
-                d = Digraph(n, combo)
+                d = _prechecked_digraph(n, combo)
                 if analyze(d).weakly_connected:
                     yield d

@@ -71,9 +71,11 @@ propagates f's potential over a breadth-first tree of each part and reads
 the cross-part edge values.  A labeling is balanced exactly when it
 switches to identity gains (Zaslavsky, *Biased graphs I*), that is, when
 these coordinates decode back to it; that one comparison is the balance
-check of every inverse map.  All seven bijection maps are projections of
-decoding and encoding.  The trees, and the odd-depth vertices of bipartite
-graphs, come from ``digraph._spanning_forest``, which keeps them on the graph.
+check of every inverse map.  Six of the seven bijection maps are
+projections of decoding and encoding; ``potential_to_edges`` computes
+``f(e) = p(origin)^-1 p(endpoint)`` directly, on any graph.  The trees,
+and the odd-depth vertices of bipartite graphs, come from
+``digraph._spanning_forest``, which keeps them on the graph.
 """
 
 from __future__ import annotations

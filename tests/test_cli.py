@@ -1,6 +1,7 @@
 """Command line behavior: output contracts and exit codes, in process
 except where a real pipe is needed."""
 
+import decimal
 import hashlib
 import json
 import resource
@@ -350,20 +351,26 @@ def test_count_decimal_from_the_factored_form(spec):
 
 
 def test_counts_print_without_converting_the_int(run, long_path, monkeypatch):
-    """Only the BUDGET line holds no more than an int; counts and the
-    truncation marker print from the factored form."""
+    """Counts, the truncation marker and the BUDGET line print from decimal
+    powers: converting the int, in time quadratic in its digits, would call
+    decimal.Decimal on it."""
     graph, digits = long_path
 
     def refuse(n):
         raise AssertionError("converted the whole int")
 
-    monkeypatch.setattr(cli, "_decimal", refuse)
+    monkeypatch.setattr(decimal, "Decimal", refuse)
     assert count_json(run, graph, "cyclic:6", "edges", "flexible")["count_decimal"] == digits
     code, out, _ = run(
         "enumerate", graph, "--group", "cyclic:6", "--target", "edges", "--mode", "flexible",
         "--limit", "0",
     )
     assert (code, out) == (EXIT_OK, f"# truncated: 0 of {digits} labelings shown\n")
+    code, out, _ = run(
+        "verify", graph, "--group", "cyclic:6", "--target", "edges", "--mode", "flexible",
+        "--budget", "10",
+    )
+    assert (code, out) == (EXIT_BUDGET, f"BUDGET: instance requires {digits} candidates, budget is 10\n")
 
 
 def test_verify_budget_beyond_the_int_to_str_limit(run, long_path):

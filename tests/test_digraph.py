@@ -132,6 +132,17 @@ def test_bulk_parse_matches_the_line_parser(text):
     bulk = _load_bulk(text)
     if bulk is not None:
         assert bulk == expected
+    if isinstance(expected, Digraph):
+        _assert_is_the_public_graph(expected)
+
+
+def _assert_is_the_public_graph(d):
+    """A graph built without the constructor's checks is the graph that the
+    public constructor makes, with plain-int tuples."""
+    public = Digraph(d.n_vertices, tuple((int(u), int(w)) for u, w in d.edges))
+    assert d == public and hash(d) == hash(public)
+    assert type(d.n_vertices) is int and type(d.edges) is tuple
+    assert all(type(e) is tuple and len(e) == 2 and set(map(type, e)) == {int} for e in d.edges)
 
 
 @pytest.mark.parametrize(
@@ -160,13 +171,7 @@ def test_well_formed_texts_take_the_bulk_path(text):
     ],
 )
 def test_bulk_loaded_graph_equals_the_public_one(text):
-    """The bulk parser builds its Digraph without the constructor's checks;
-    the result is the graph that the public constructor makes."""
-    bulk = _load_bulk(text)
-    public = Digraph(bulk.n_vertices, tuple((int(u), int(w)) for u, w in bulk.edges))
-    assert bulk == public and hash(bulk) == hash(public)
-    assert type(bulk.n_vertices) is int and type(bulk.edges) is tuple
-    assert all(type(e) is tuple and len(e) == 2 and set(map(type, e)) == {int} for e in bulk.edges)
+    _assert_is_the_public_graph(_load_bulk(text))
 
 
 @pytest.mark.parametrize(
@@ -206,11 +211,6 @@ def test_edge_ids_follow_file_order():
     assert d.edges[0] == (2, 0) and d.edges[1] == (0, 1) and d.edges[2] == (2, 0)
 
 
-def test_from_edges_validates():
-    with pytest.raises(ValueError, match="outside"):
-        Digraph.from_edges(2, [(0, 2)])
-
-
 @pytest.mark.parametrize(
     "n, edges, message",
     [
@@ -219,19 +219,22 @@ def test_from_edges_validates():
         (2, [(0, 1), (0, 1, 1)], "edge 1 = (0, 1, 1) is not a pair of integers"),
         (2.5, ((0, 1),), "n_vertices must be an integer, got 2.5"),
         ("2", (), "n_vertices must be an integer, got '2'"),
+        (2, [(0, 2)], "edge 0 = (0, 2) has a vertex outside 0..1"),
+        (3, ((0, 1), (-1, 2)), "edge 1 = (-1, 2) has a vertex outside 0..2"),
     ],
 )
 def test_non_integer_input_is_refused(n, edges, message):
     with pytest.raises(ValueError) as exc:
         Digraph(n, edges)
     assert str(exc.value) == message
-    with pytest.raises(ValueError):
-        Digraph.from_edges(n, edges)
 
 
 def test_integer_likes_are_normalised_to_ints():
-    d = Digraph(np.int64(3), ((np.int64(0), np.int32(1)), (1, np.uint8(2))))
-    assert d == Digraph(3, ((0, 1), (1, 2)))
+    """Bools and numpy ints become ints; a tuple of two ints is kept as it is."""
+    kept = (0, 2)
+    d = Digraph(np.int64(3), ((np.int64(0), np.int32(1)), (1, np.uint8(2)), (True, np.int8(2)), kept))
+    assert d == Digraph(3, ((0, 1), (1, 2), (1, 2), (0, 2)))
+    assert d.edges[3] is kept
     assert type(d.n_vertices) is int and {type(v) for e in d.edges for v in e} == {int}
     assert analyze(d).scc_count == 3
 
@@ -515,6 +518,11 @@ def test_iter_connected_multigraphs_small():
     # containing at least one non-loop edge (C(4+1,2)=10 total minus {00,00},
     # {00,11}, {11,11} = 7): 12 graphs in all
     assert len(graphs) == 12
+
+
+def test_generated_graphs_are_the_public_ones():
+    for d in iter_connected_multigraphs(3, 3):
+        _assert_is_the_public_graph(d)
 
 
 def test_iter_connected_multigraphs_counts_against_filter():
