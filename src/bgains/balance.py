@@ -119,6 +119,11 @@ class OracleBudgetError(RuntimeError):
         self.required = required
         self.budget = budget
 
+    def __reduce__(self):
+        # ``args`` stays empty, so that its repr never converts ``required``;
+        # pickling rebuilds the error from the two numbers instead.
+        return type(self), (self.required, self.budget)
+
     def __str__(self) -> str:
         # Built only when printed, since decimal, which unlike str prints
         # past the int-to-str digit limit, takes time quadratic in the digits.

@@ -136,7 +136,12 @@ class UnbalancedLabelingError(ValueError):
 
 @dataclass(frozen=True)
 class BalancedCount:
-    """Exact count in factored form: value = |G2|^s * |G|^t."""
+    """Exact count in factored form: value = |G2|^s * |G|^t.
+
+    A count made by ``of`` computes ``value`` when it is first read, which
+    comparing or hashing the count also does: the int takes milliseconds on
+    a graph of 100,000 edges, and the CLI prints counts from ``s`` and ``t``.
+    """
 
     s: int
     t: int
@@ -144,7 +149,17 @@ class BalancedCount:
 
     @classmethod
     def of(cls, s: int, t: int, group: FiniteGroup) -> "BalancedCount":
-        return cls(s, t, len(group.involutions()) ** s * group.order**t)
+        c = object.__new__(cls)
+        c.__dict__.update(s=s, t=t, _orders=(len(group.involutions()), group.order))
+        return c
+
+    def __getattr__(self, name: str):
+        # Reached only when the usual lookup fails: for ``value`` until ``of``'s count first computes it.
+        if name != "value" or "_orders" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        n_involutions, order = self._orders
+        value = self.__dict__["value"] = n_involutions**self.s * order**self.t
+        return value
 
 
 @dataclass(frozen=True)
@@ -422,8 +437,8 @@ class _Frame:
         group, values = self._group, [*h, *f]
         _check_elements(group, values)
         table, inverse = group.table, group.inverse
-        if self._target == FULL and self._odd is None:
-            f = [table[h[u]][x] for (u, _), x in zip(self._d.edges, f)]  # f(e) = h(origin) h(e)
+        if self._target == FULL and self._odd is None:  # f(e) = h(origin) h(e)
+            f = self._table[np.array(h, dtype=np.intp)[self._origins], np.array(f, dtype=np.intp)].tolist()
         p = [group.identity] * self._n
         for e, u, w, backwards in _spanning_forest(self._d, self._mode == RIGID)[0]:
             p[w] = table[p[u]][inverse[f[e]] if backwards else f[e]]

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from bgains import cli
 from bgains.balance import FLEXIBLE, all_closed_walks
-from bgains.digraph import Digraph, analyze
+from bgains.digraph import _ARRAY_EDGES, Digraph, analyze
 
 DATA = Path(__file__).parent / "data"
 
@@ -52,6 +52,16 @@ def random_connected_digraph(rng: random.Random, max_vertices=4, max_edges=5, bi
         if not _walk_family_fits(d, max_walks):
             continue
         return d
+
+
+def kept_graph(size: str) -> Digraph:
+    """Below ``_ARRAY_EDGES``: a directed 4-cycle with a pendant edge, which
+    is bipartite.  Above it: a directed 101-cycle with every later vertex v
+    hung off v // 2, which is not.  Both have cross-component edges."""
+    if size == "small":
+        return Digraph(5, ((0, 1), (1, 2), (2, 3), (3, 0), (3, 4)))
+    n = _ARRAY_EDGES + 8
+    return Digraph(n, tuple((v, (v + 1) % 101) for v in range(101)) + tuple((v // 2, v) for v in range(101, n)))
 
 
 class HashingStdout(io.TextIOBase):

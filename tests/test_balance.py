@@ -331,6 +331,23 @@ def test_brute_force_budget(triangle):
         brute_force_count_reference(s3, triangle, FULL, FLEXIBLE, budget=100)
 
 
+@pytest.mark.parametrize("required", [6**6, 6**200_000], ids=["6**6", "6**200000"])
+def test_budget_error_survives_pickling_without_converting_the_int(monkeypatch, required):
+    """The refusal can cross a process boundary; pickling stores the int in
+    binary, and neither it nor the repr converts it to decimal."""
+    import decimal
+
+    def refuse(n):
+        raise AssertionError("converted the whole int")
+
+    monkeypatch.setattr(decimal, "Decimal", refuse)
+    exc = OracleBudgetError(required, 100)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is OracleBudgetError
+    assert (back.required, back.budget, back.args) == (required, 100, ())
+    assert repr(back) == "OracleBudgetError()"
+
+
 @pytest.mark.parametrize("oracle", [brute_force_count, brute_force_labelings, brute_force_count_reference])
 @pytest.mark.parametrize("edges", [63, 64])
 def test_candidate_space_past_int64_is_refused(oracle, edges):

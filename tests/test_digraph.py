@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgains import digraph
 from bgains.digraph import (
     _ARRAY_EDGES,
     Digraph,
@@ -24,7 +25,7 @@ from bgains.digraph import (
     load_graph,
 )
 
-from graph_helpers import data_text
+from graph_helpers import data_text, kept_graph
 
 
 def test_load_single_vertex():
@@ -503,6 +504,125 @@ def test_analyze_matches_networkx(d):
     expected = _networkx_report(d)
     assert analyze(d) == expected
     assert _analyze_arrays(d) == expected
+
+
+# ------------------------------------ array strongly connected components
+
+
+def _relabeled(n: int, edges, rng: random.Random) -> Digraph:
+    label = list(range(n))
+    rng.shuffle(label)
+    return Digraph(n, tuple((label[u], label[w]) for u, w in edges))
+
+
+def _bench_style_graph(seed: int, n: int = 50_000, m: int = 100_000) -> Digraph:
+    """Built as the ``large-graph`` benchmark builds its graph: a random
+    spanning tree with random orientations, then uniform extra edges (loops
+    and parallel edges allowed), under a random relabeling."""
+    rng = random.Random(seed)
+    edges = []
+    for v in range(1, n):
+        u = rng.randrange(v)
+        edges.append((u, v) if rng.random() < 0.5 else (v, u))
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(m - len(edges))]
+    return _relabeled(n, edges, rng)
+
+
+def _random_multigraph(seed: int) -> Digraph:
+    """A bench-style graph of 8,192 to 20,000 edges with extra loops and
+    parallel edges."""
+    rng = random.Random(seed)
+    m = rng.randrange(_ARRAY_EDGES, 18_000)
+    edges = list(_bench_style_graph(seed, m // 2, m).edges)
+    edges += rng.sample(edges, 1_000) + [(v, v) for v in rng.sample(range(m // 2), 500)]
+    rng.shuffle(edges)
+    return Digraph(m // 2, tuple(edges))
+
+
+def _chain(n: int, cycle: int, rng: random.Random) -> Digraph:
+    """Directed cycles of ``cycle`` vertices (a path when ``cycle`` is 1),
+    each joined to the next by one edge, under shuffled labels."""
+    n -= n % cycle
+    edges = [(v, v - v % cycle + (v + 1) % cycle) for v in range(n) if cycle > 1]
+    edges += [(v, v + 1) for v in range(cycle - 1, n - 1, cycle)]
+    return _relabeled(n, edges, rng)
+
+
+def _giant_with_trees(rng: random.Random) -> Digraph:
+    """One strongly connected core (a cycle with chords), in-trees that run
+    into it and out-trees that hang off it, triangles with an edge into it or
+    out of it, which trimming leaves to the other steps, and isolated
+    vertices."""
+    core, n = 3_000, 12_000
+    edges = [(v, (v + 1) % core) for v in range(core)]
+    edges += [(rng.randrange(core), rng.randrange(core)) for _ in range(2_000)]
+    for v in range(core, 7_000):  # into the core, or into an earlier in-tree vertex
+        edges.append((v, rng.randrange(v)))
+    for v in range(7_000, 11_000):  # out of the core, or of an earlier out-tree vertex
+        edges.append((rng.randrange(core) if v == 7_000 or rng.random() < 0.5 else rng.randrange(7_000, v), v))
+    for v in range(11_000, 11_600, 3):
+        edges += [(v, v + 1), (v + 1, v + 2), (v + 2, v)]
+        edges.append((v, rng.randrange(core)) if v < 11_300 else (rng.randrange(core), v))
+    return _relabeled(n, edges, rng)
+
+
+def _disjoint_cycles(rng: random.Random) -> Digraph:
+    """Directed cycles of 2 to 40 vertices, no edge between them."""
+    edges, v = [], 0
+    while len(edges) < 10_000:
+        k = rng.randrange(2, 41)
+        edges += [(v + i, v + (i + 1) % k) for i in range(k)]
+        v += k
+    return _relabeled(v, edges, rng)
+
+
+def _array_families():
+    rng = random.Random(25)
+    for seed in range(3):
+        yield pytest.param(_random_multigraph(seed), id=f"random-{seed}")
+    yield pytest.param(_chain(12_000, 1, rng), id="path")
+    yield pytest.param(_chain(12_000, 2, rng), id="2-cycle-chain")
+    yield pytest.param(_chain(12_000, 3, rng), id="triangle-chain")
+    yield pytest.param(_giant_with_trees(rng), id="giant-with-trees")
+    yield pytest.param(_disjoint_cycles(rng), id="disjoint-cycles")
+    yield pytest.param(_relabeled(10_000, [(v, v) for v in range(9_000)] * 2, rng), id="loops-only")
+    yield pytest.param(_relabeled(30_000, [(v, (v + 1) % 9_000) for v in range(9_000)], rng), id="cycle-and-isolated")
+
+
+@pytest.mark.parametrize("d", _array_families())
+def test_array_components_match_networkx(d):
+    """Families that end in each of the three steps of ``_strong_arrays``:
+    trimming, the forward-backward search and Tarjan's loop."""
+    assert d.n_edges >= _ARRAY_EDGES
+    assert _analyze_arrays(d) == _networkx_report(d)
+
+
+@pytest.fixture
+def tarjan_sizes(monkeypatch):
+    """The vertex counts that ``_strong_components`` is called on."""
+    sizes = []
+    tarjan = digraph._strong_components
+    monkeypatch.setattr(digraph, "_strong_components", lambda succ: sizes.append(len(succ)) or tarjan(succ))
+    return sizes
+
+
+def test_bench_style_and_kept_graphs_need_no_tarjan(tarjan_sizes):
+    """Trimming and one forward-backward search settle every component: the
+    random graph's giant component is found in about 30 rounds each way, and
+    the kept graph's 101-cycle in 100."""
+    for d in (_bench_style_graph(0), kept_graph("large")):
+        report = _analyze_arrays(d)
+        assert report.scc_count < d.n_vertices
+        assert tarjan_sizes == []
+
+
+def test_a_long_path_falls_back_to_tarjan(tarjan_sizes):
+    """Each round trims only the two ends of a path, and the forward search
+    gains one vertex a round, so both give up and Tarjan's loop gets the rest."""
+    n = 200_000
+    d = Digraph(n, tuple((v, v + 1) for v in range(n - 1)))
+    assert _analyze_arrays(d) == StructureReport(True, True, n, n - 1, tuple(range(n)))
+    assert tarjan_sizes == [n - 2 * digraph._TRIM_ROUNDS]
 
 
 def test_iter_connected_multigraphs_small():

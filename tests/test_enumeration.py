@@ -1,5 +1,6 @@
 """Counting formulas, bijections, enumeration streams and sampling."""
 
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -39,7 +40,7 @@ from bgains.enumeration import (
 from bgains import digraph, enumeration
 from bgains.groups import make_group
 
-from graph_helpers import DATA, random_connected_digraph
+from graph_helpers import DATA, kept_graph, random_connected_digraph
 
 CASES = [(t, m) for t in (EDGES, FULL) for m in (FLEXIBLE, RIGID)]
 
@@ -71,6 +72,23 @@ def test_count_factored_value(groups, triangle, cycle4):
         assert flex_full.value == len(g.involutions()) * g.order**2
         bip = count(g, cycle4, FULL, FLEXIBLE)
         assert (bip.s, bip.t) == (0, 4) and bip.value == g.order**4
+
+
+def test_count_builds_the_int_only_when_read():
+    """The int |G2|^s * |G|^t takes milliseconds for a large t, and callers
+    that print from s and t never read it."""
+    g = make_group("symmetric:3")
+    n = 20_000
+    c = count(g, Digraph(n, tuple((v, v + 1) for v in range(n - 1))), FULL, RIGID)
+    assert (c.s, c.t) == (0, 2 * n - 1)  # n components, n - 1 cross edges
+    assert "value" not in vars(c)
+    assert c.value == 6 ** c.t
+    assert vars(c)["value"] is c.value
+    assert c == BalancedCount(c.s, c.t, 6 ** c.t) and hash(c) == hash(BalancedCount(c.s, c.t, 6 ** c.t))
+    with pytest.raises(AttributeError):
+        c.other
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.value = 1
 
 
 def test_count_rejects_disconnected():
@@ -438,25 +456,16 @@ def test_stream_and_sample_analyze_the_graph_once(monkeypatch, triangle, target,
     assert len(calls) == 2
 
 
-def _kept_graph(size: str) -> Digraph:
-    """Below ``_ARRAY_EDGES``: a directed 4-cycle with a pendant edge, which
-    is bipartite.  Above it: a directed 101-cycle with every later vertex v
-    hung off v // 2, which is not.  Both have cross-component edges."""
-    if size == "small":
-        return Digraph(5, ((0, 1), (1, 2), (2, 3), (3, 0), (3, 4)))
-    n = digraph._ARRAY_EDGES + 8
-    return Digraph(n, tuple((v, (v + 1) % 101) for v in range(101)) + tuple((v // 2, v) for v in range(101, n)))
-
-
 @pytest.mark.parametrize("size", ["small", "large"])
 def test_a_kept_graph_is_analyzed_once_and_searched_once_per_part_choice(monkeypatch, size):
     """Counts, streams, samples and every applicable bijection map, in all
     four cases, share one structure computation and at most one spanning
     forest per part choice (whole graph or strongly connected components)."""
-    d, g = _kept_graph(size), make_group("symmetric:3")
+    d, g = kept_graph(size), make_group("symmetric:3")
     assert (d.n_edges >= digraph._ARRAY_EDGES) == (size == "large")
-    # Both paths of analyze run the Tarjan search once; the array path is
-    # spied on as well, to tell the two apart.
+    # The list path runs the Tarjan search once.  On the large graph the
+    # array path settles every component before Tarjan's loop (trimming
+    # removes the trees, forward-backward the cycle), so it never runs.
     analyses, forests = [], []
     tarjan, arrays = digraph._strong_components, digraph._analyze_arrays
     monkeypatch.setattr(digraph, "_strong_components", lambda succ: analyses.append("tarjan") or tarjan(succ))
@@ -476,7 +485,7 @@ def test_a_kept_graph_is_analyzed_once_and_searched_once_per_part_choice(monkeyp
             assert extend(g, d, *full_to_pair(g, d, lab)) == lab
         elif (target, mode) == (FULL, RIGID):
             assert pair_to_full_rigid(g, d, *full_to_pair_rigid(g, d, lab)) == lab
-    assert analyses == (["tarjan"] if size == "small" else ["arrays", "tarjan"])
+    assert analyses == (["tarjan"] if size == "small" else ["arrays"])
     assert sorted(forests) == [False, True]
 
 
