@@ -543,7 +543,7 @@ def _chain(n: int, cycle: int, rng: random.Random) -> Digraph:
     """Directed cycles of ``cycle`` vertices (a path when ``cycle`` is 1),
     each joined to the next by one edge, under shuffled labels."""
     n -= n % cycle
-    edges = [(v, v - v % cycle + (v + 1) % cycle) for v in range(n) if cycle > 1]
+    edges = [(v, v - v % cycle + (v + 1) % cycle) for v in range(n)] if cycle > 1 else []
     edges += [(v, v + 1) for v in range(cycle - 1, n - 1, cycle)]
     return _relabeled(n, edges, rng)
 
