@@ -8,63 +8,10 @@ traversal semantics: *flexible* (edges may be traversed against their
 direction, contributing the inverse element) and *rigid* (forward only).
 """
 
-from .balance import (
-    DEFAULT_ORACLE_BUDGET,
-    EDGES,
-    FLEXIBLE,
-    FULL,
-    RIGID,
-    ClosedWalk,
-    EdgeLabeling,
-    EdgeUse,
-    FullLabeling,
-    OracleBudgetError,
-    WalkError,
-    all_closed_walks,
-    brute_force_count,
-    brute_force_labelings,
-    is_balanced_edges,
-    is_balanced_full,
-    walk_product_edges,
-    walk_product_full,
-)
-from .digraph import (
-    Digraph,
-    GraphFormatError,
-    StructureReport,
-    analyze,
-    iter_connected_multigraphs,
-    load_graph,
-)
-from .enumeration import (
-    BalancedCount,
-    NotWeaklyConnectedError,
-    Potential,
-    UnbalancedLabelingError,
-    count,
-    edges_to_potential,
-    enumerate_all,
-    full_to_pair,
-    full_to_pair_rigid,
-    pair_to_full_bipartite,
-    pair_to_full_odd,
-    pair_to_full_rigid,
-    potential_to_edges,
-    sample_uniform,
-)
-from .groups import (
-    FiniteGroup,
-    GroupAxiomError,
-    GroupSpecError,
-    cyclic_group,
-    dihedral_group,
-    direct_product,
-    load_cayley_table,
-    make_group,
-    quaternion_group,
-    symmetric_group,
-    validate_cayley_table,
-)
+from .balance import *
+from .digraph import *
+from .enumeration import *
+from .groups import *
 
 __version__ = "0.1.0"
 

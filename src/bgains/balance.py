@@ -75,7 +75,6 @@ __all__ = [
     "WalkError",
     "all_closed_walks",
     "brute_force_count",
-    "brute_force_count_reference",
     "brute_force_labelings",
     "is_balanced_edges",
     "is_balanced_full",

@@ -161,6 +161,17 @@ class BalancedCount:
         value = self.__dict__["value"] = n_involutions**self.s * order**self.t
         return value
 
+    def __repr__(self) -> str:
+        # The dataclass repr, except that an int too long for str() (over
+        # sys.get_int_max_str_digits() digits) is shown by its bit length.
+        def shown(x) -> str:
+            try:
+                return repr(x)
+            except ValueError:
+                return f"<{x.bit_length()}-bit int>"
+
+        return f"{type(self).__qualname__}(s={shown(self.s)}, t={shown(self.t)}, value={shown(self.value)})"
+
 
 @dataclass(frozen=True)
 class Potential:

@@ -7,6 +7,8 @@ that package's import time and memory to every run.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,3 +38,16 @@ def test_the_guard_sees_imports_anywhere_in_a_module(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("import os.path\nfrom . import x\ndef f():\n    from scipy.sparse import csgraph\n    import networkx as nx\n")
     assert imported_packages(module) - ALLOWED == {"scipy", "networkx"}
+
+
+def test_the_package_namespace_is_its_all_and_its_modules():
+    """The package republishes its modules' ``__all__`` by wildcard imports;
+    a fresh interpreter shows exactly those names and the modules."""
+    code = "import bgains; print(*sorted(bgains.__all__)); print(*sorted(vars(bgains)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    exported, names = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    public = {name for name in names.split() if not name.startswith("__")}
+    modules = {"balance", "digraph", "enumeration", "groups"}
+    assert public == set(exported.split()) - {"__version__"} | modules

@@ -91,6 +91,19 @@ def test_count_builds_the_int_only_when_read():
         c.value = 1
 
 
+def test_count_repr_never_raises(triangle):
+    """repr and str are the dataclass repr, except that an int too long for
+    str() is shown by its bit length."""
+    c = count(make_group("symmetric:3"), triangle, FULL, FLEXIBLE)
+    assert repr(c) == str(c) == repr(BalancedCount(1, 2, 144)) == "BalancedCount(s=1, t=2, value=144)"
+    n = 20_000
+    big = count(make_group("symmetric:3"), Digraph(n, tuple((v, v + 1) for v in range(n - 1))), FULL, RIGID)
+    expected = f"BalancedCount(s=0, t={2 * n - 1}, value=<{(6 ** (2 * n - 1)).bit_length()}-bit int>)"
+    assert repr(big) == str(big) == expected
+    huge = BalancedCount(10**5000, 0, 1)
+    assert repr(huge) == f"BalancedCount(s=<{(10**5000).bit_length()}-bit int>, t=0, value=1)"
+
+
 def test_count_rejects_disconnected():
     g = make_group("cyclic:2")
     with pytest.raises(NotWeaklyConnectedError):

@@ -79,11 +79,16 @@ def test_orders(spec, order):
         "frobnicate:5",
         "cyclic:3,cyclic:2",
         "table:",
+        "cyclic:²",
     ],
 )
 def test_bad_specs(spec):
     with pytest.raises(GroupSpecError):
         make_group(spec)
+
+
+def test_spec_parameters_take_any_decimal_digits():
+    assert make_group("cyclic:٣").name == "cyclic:3"
 
 
 @pytest.mark.parametrize("spec", ["cyclic:1025", "dihedral:513"])
@@ -201,9 +206,11 @@ def test_validator_finds_exactly_the_naive_associativity_violations(seed):
     outcomes = set()
     for t in random_latin_squares(seed):
         if naive_associativity_violation(t) is None:
-            # An associative latin square is a group.
+            # An associative latin square is a group, so its identity and
+            # inverses, read off one side, must be two-sided.
             identity, inverse = validate_cayley_table(t)
-            assert all(t[a][inverse[a]] == identity for a in range(len(t)))
+            assert all(t[identity][a] == a == t[a][identity] for a in range(len(t)))
+            assert all(t[a][inverse[a]] == identity == t[inverse[a]][a] for a in range(len(t)))
             outcomes.add("group")
             continue
         with pytest.raises(GroupAxiomError, match="associativity fails at") as info:
