@@ -373,7 +373,10 @@ def _take_int(s: str, head: str) -> tuple[int, str]:
         i += 1
     if i == 0:
         raise GroupSpecError(f"{head}: expected an integer parameter")
-    return int(s[:i]), s[i:]
+    try:
+        return int(s[:i]), s[i:]
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise GroupSpecError(f"{head}: integer parameter of {i} digits is too long") from None
 
 
 def _parse_spec(s: str, depth: int) -> tuple[FiniteGroup, str]:
