@@ -1,19 +1,18 @@
 #!/usr/bin/env python3
 """Mutant gate: check that the tests catch deliberate faults in the library.
 
-    python3 scripts/mutants.py                  # every mutant
-    python3 scripts/mutants.py NAME [NAME ...]  # the named ones
-    python3 scripts/mutants.py --timeout 300    # seconds per mutant
+    python3 scripts/mutants.py
 
 Each mutant replaces one exact text, which must occur exactly once, in one
 file of ``src/bgains``, and names the reason for it and the tests expected
 to catch it.  For each mutant the script copies ``src``, ``tests`` and
 ``scripts`` to a temporary directory, applies the replacement there and
-runs the named tests on the copy with pytest, under a timeout.  The mutant
-is caught when pytest reports a failing test, and survives when every test
-passes.  The script prints one line per mutant and exits 1 if any mutant
-survives, times out or makes pytest itself fail (a usage or collection
-error), or if any replacement text is not found exactly once.
+runs the named tests on the copy with pytest, under a timeout of
+``TIMEOUT`` seconds.  The mutant is caught when pytest reports a failing
+test, and survives when every test passes.  The script prints one line
+per mutant and exits 1 if any mutant survives, times out or makes pytest
+itself fail (a usage or collection error), or if any replacement text is
+not found exactly once.
 
 The catching tests never read ``tests/data/*.json``: the pinned outputs
 there catch any drift, so a mutant that only they catch says nothing about
@@ -22,7 +21,6 @@ whether the oracle and the walk checks would.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -33,6 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 300  # seconds per mutant
 CAUGHT, SURVIVED, TIMED_OUT, ERROR, NOT_FOUND = "CAUGHT", "SURVIVED", "TIMED OUT", "ERROR", "NOT FOUND"
 
 
@@ -114,7 +113,7 @@ MUTANTS = (
 )
 
 
-def run(mutant: Mutant, timeout: float) -> str:
+def run(mutant: Mutant) -> str:
     """Apply ``mutant`` to a copy of the tree and run its tests there;
     return CAUGHT, SURVIVED, TIMED_OUT, ERROR or NOT_FOUND."""
     text = (ROOT / "src" / "bgains" / mutant.file).read_text()
@@ -128,7 +127,7 @@ def run(mutant: Mutant, timeout: float) -> str:
         command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests]
         env = {**os.environ, "PYTHONPATH": str(copy / "src")}
         try:
-            result = subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=timeout)
+            result = subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
             return TIMED_OUT
     # pytest exits 1 when tests failed; 2 and up are interruptions and usage errors.
@@ -136,22 +135,13 @@ def run(mutant: Mutant, timeout: float) -> str:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", metavar="NAME", help="mutants to run (default: all)")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant")
-    args = parser.parse_args()
-    by_name = {m.name: m for m in MUTANTS}
-    unknown = [name for name in args.names if name not in by_name]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}; known: {', '.join(by_name)}")
-
     start, failed = time.perf_counter(), 0
-    for mutant in [by_name[name] for name in args.names] or MUTANTS:
+    for mutant in MUTANTS:
         began = time.perf_counter()
-        outcome = run(mutant, args.timeout)
+        outcome = run(mutant)
         failed += outcome != CAUGHT
         print(f"{outcome:<9}  {mutant.name}  ({time.perf_counter() - began:.1f} s): {mutant.reason}", flush=True)
-    print(f"{failed} of {len(args.names) or len(MUTANTS)} mutants not caught in {time.perf_counter() - start:.1f} s")
+    print(f"{failed} of {len(MUTANTS)} mutants not caught in {time.perf_counter() - start:.1f} s")
     return 1 if failed else 0
 
 

@@ -91,7 +91,7 @@ def test_count_builds_the_int_only_when_read():
         c.value = 1
 
 
-def test_count_repr_never_raises(triangle):
+def test_count_repr_never_raises(triangle, int_str_limit):
     """repr and str are the dataclass repr, except that an int too long for
     str() is shown by its bit length."""
     c = count(make_group("symmetric:3"), triangle, FULL, FLEXIBLE)
