@@ -110,6 +110,30 @@ MUTANTS = (
         "inverses are read off where a row holds element 0, which is the identity only for some tables",
         ("tests/test_groups.py::test_validator_finds_exactly_the_naive_associativity_violations",),
     ),
+    Mutant(
+        "exponents-bipartite-odd-swapped",
+        "enumeration.py",
+        "        if report.bipartite:\n            return 0, v\n        return 1, v - 1\n",
+        "        if report.bipartite:\n            return 1, v - 1\n        return 0, v\n",
+        "the full flexible count takes |G2| * |G|^(v - 1) on bipartite graphs and |G|^v on the others",
+        ("tests/test_verify_grid.py::test_a_small_grid_checks_every_instance",),
+    ),
+    Mutant(
+        "bulk-draw-shift",
+        "enumeration.py",
+        "values = words >> (32 - k)",
+        "values = words >> (31 - k)",
+        "the bulk draw of a sample keeps k + 1 bits of each word, not the k that randrange keeps",
+        ("tests/test_enumeration.py::test_samples_decode_one_randrange_per_radix",),
+    ),
+    Mutant(
+        "byte-parser-lone-return",
+        "digraph.py",
+        "returns[-1] == len(b) - 1 or np.any(b[returns + 1] != 10)",
+        "False",
+        "the byte parser reads a lone \\r as a blank, where str.splitlines ends a line",
+        ("tests/test_digraph.py::test_other_line_breaks_go_to_the_line_parser",),
+    ),
 )
 
 

@@ -39,15 +39,19 @@ Graph file format::
 
 Edge ids follow file order.  A file may name at most 1,000,000 vertices.
 
-A well-formed file (ASCII digits, spaces and tabs, ``\n`` or ``\r\n``
-line ends) is parsed in bulk: one regular-expression search for a line
-outside the format, one numpy conversion of all the integers and one range
-check.  Any other text, malformed or not, goes through the line-by-line
-parser, which reports the first bad line by its number.
+A well-formed ASCII file (digits, spaces and tabs, ``\n`` or ``\r\n``
+line ends, comments of printable characters and tabs) is parsed by numpy
+over its bytes, in chunks cut at line ends: character classes by
+comparison, the digit runs and the line of each run, and the integers,
+straight into the int32 edge array.  Any other text, malformed or not,
+goes through the line-by-line parser, which reports the first bad line by
+its number.  A graph parsed from bytes holds only that array; its ``edges``
+tuple is built when first read, and the counts, ``analyze`` above
+``_ARRAY_EDGES`` edges and the frames read the array alone.
 
 The constructor checks every edge.  Three builders skip it, since each has
-checked or generated every edge itself: the bulk parser, the line parser
-and ``iter_connected_multigraphs``.
+checked or generated every edge itself: the two parsers and
+``iter_connected_multigraphs``.
 """
 
 from __future__ import annotations
@@ -92,9 +96,25 @@ class Digraph:
         object.__setattr__(self, "n_vertices", n)
         object.__setattr__(self, "edges", edges)
 
+    def __getattr__(self, name: str):
+        # Reached only when the usual lookup fails: for ``edges`` of a graph
+        # that ``_array_digraph`` built, until it is first read.
+        if name != "edges" or "_ends" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        edges = self.__dict__["edges"] = tuple(zip(*self._ends.tolist()))
+        return edges
+
+    def __reduce__(self):
+        # A copy is rebuilt from the vertex count and the edges, or the edge
+        # array of a graph whose edges were never read: no kept report,
+        # forest or array, and an array read-only as in any graph.
+        if "edges" in self.__dict__:
+            return Digraph, (self.n_vertices, self.edges)
+        return _array_digraph, (self.n_vertices, self._ends)
+
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edges) if "edges" in self.__dict__ else self._ends.shape[1]
 
 
 def _checked_edge(e: int, pair, n: int) -> tuple[int, int]:
@@ -134,55 +154,109 @@ _N_LINE = re.compile(r"^n\s*=\s*(\d+)$")
 # naming a huge vertex count would exhaust memory before any other check.
 _VERTEX_LIMIT = 1_000_000
 
-# The bulk parser's view of the format.  A comment runs to the next of the
-# characters that str.splitlines breaks lines at; of those, only "\n" and a
-# "\r" before it may end a line.  Indices are at most 18 digits, so that
-# they fit in an int64.  The search for a line outside the format carries
-# no state from line to line, whatever the length of the text.
-_COMMENT = re.compile("#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
-_BAD_LINE = re.compile(
-    r"^(?![ \t]*(?:[0-9]{1,18}[ \t]+[0-9]{1,18}|n[ \t]*=[ \t]*[0-9]{1,18})?[ \t]*(?:"
-    + _COMMENT.pattern
-    + r")?\r?$).",
-    re.M | re.ASCII,
-)
+# The byte parser's view of an n= line, from its "n" to the line end, its
+# comment cut off.  It reads numbers of at most 18 digits, which fit in an int64.
+_HEAD = re.compile(rb"n[ \t]*=[ \t]*([0-9]{1,18})[ \t\r]*")
+
+# Bytes per step of the byte parser, which cuts the text at the first line
+# end past each multiple of this: its temporaries, a few bytes per byte of
+# the step, stay within some megabytes whatever the length of the text.
+_CHUNK = 2**16
 
 
 def load_graph(text: str) -> Digraph:
     """Parse graph file text (see module docstring for the format)."""
-    return _load_bulk(text) or _load_lines(text)
+    parsed = _parse_bytes(text.encode("ascii")) if text.isascii() else None
+    return _array_digraph(*parsed) if parsed else _load_lines(text)
 
 
-def _load_bulk(text: str) -> Digraph | None:
-    """The graph of a well-formed text, or None for the line parser to
-    take it (and to report the error, if there is one)."""
-    if _BAD_LINE.search(text):
-        return None
-    body = _COMMENT.sub("", text) if "#" in text else text
-    n_declared = None
-    if "n" in body:  # must be the first significant line, and the only n= line
-        head, _, body = body.lstrip().partition("\n")
-        if not head.startswith("n") or "n" in body:
+def _parse_bytes(data: bytes) -> tuple[int, np.ndarray] | None:
+    """The vertex count and the (2, E) int32 edge array of a well-formed
+    ASCII text, or None for the line parser to take it (and to report the
+    error, if there is one).
+
+    The text is well formed when, with comments cut off, it holds digits,
+    spaces, tabs and line ends, its first significant line is an optional
+    ``n=`` line and every other line holds no index or two, each in range.
+    ``str.splitlines`` also breaks lines at a lone ``\\r``, ``\\v``, ``\\f``
+    and ``\\x1c``-``\\x1e``, so a lone ``\\r`` anywhere, and a comment
+    holding anything but printable characters and tabs, send the text to
+    the line parser.
+    """
+    n_declared, seen, top, parts = None, False, -1, [np.empty((2, 0), np.int32)]
+    start = 0
+    while start < len(data):
+        stop = data.find(b"\n", start + _CHUNK) + 1 or len(data)
+        b = np.frombuffer(data, np.uint8, stop - start, start)
+        start += len(b)
+        line_ends = np.flatnonzero(b == 10)
+        returns = np.flatnonzero(b == 13)
+        if len(returns) and (returns[-1] == len(b) - 1 or np.any(b[returns + 1] != 10)):
             return None
-        n_declared = int(head.partition("=")[2])
-        if n_declared > _VERTEX_LIMIT:
+        blank = (b == 32) | (b == 9) | (b == 13) | (b == 10)
+        digit = (b >= 48) & (b <= 57)
+        hashes = np.flatnonzero(b == 35)
+        if len(hashes):  # a comment runs from the first # of a line to the line end
+            line = np.searchsorted(line_ends, hashes)
+            leading = np.ones(len(hashes), dtype=bool)
+            leading[1:] = line[1:] != line[:-1]
+            bounds = np.zeros(len(b) + 1, dtype=np.int8)
+            bounds[hashes[leading]] = 1
+            bounds[np.append(line_ends, len(b))[line[leading]]] = -1
+            comment = np.cumsum(bounds[:-1], dtype=np.int8).view(bool)
+            inside = b[comment]
+            if np.any(((inside < 32) | (inside > 126)) & (inside != 9) & (inside != 13)):
+                return None
+            blank |= comment
+            digit &= ~comment
+        if not seen and not blank.all():
+            seen, first = True, int(np.argmax(~blank))
+            if b[first] == 110:  # "n": the n= line, read and then blanked out
+                head = bytes(b[first:]).partition(b"\n")[0]
+                match = _HEAD.fullmatch(head.partition(b"#")[0])
+                if not match or int(match[1]) > _VERTEX_LIMIT:
+                    return None
+                n_declared = int(match[1])
+                blank[first : first + len(head)], digit[first : first + len(head)] = True, False
+        if not np.all(blank | digit):
             return None
-    # numpy reads a blank string as one zero.
-    ends = np.fromstring(body, dtype=np.int64, sep=" ") if body and not body.isspace() else []
-    if not len(ends):
-        return None if n_declared is None else _prechecked_digraph(n_declared, ())
-    top = int(ends.max())
-    if top >= (_VERTEX_LIMIT if n_declared is None else n_declared):
+        # The digit runs start and stop where ``digit`` flips.  Each line
+        # holds none or two, and each run has at most 18 digits.
+        flips = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+        runs, width = flips[::2], flips[1::2] - flips[::2]
+        line = np.searchsorted(line_ends, runs)
+        paired = len(runs) % 2 == 0 and np.all(line[::2] == line[1::2]) and np.all(line[2::2] != line[1:-1:2])
+        if not paired or np.any(width > 18):
+            return None
+        values = np.zeros(len(runs), dtype=np.int64)
+        for j in range(int(width.max(initial=0))):
+            values = np.where(width > j, values * 10 + b[np.minimum(runs + j, len(b) - 1)] - 48, values)
+        top = max(top, int(values.max(initial=-1)))
+        if top >= (_VERTEX_LIMIT if n_declared is None else n_declared):
+            return None
+        parts.append(values.reshape(-1, 2).T.astype(np.int32, order="C"))
+    if not seen:
         return None
-    ends = iter(ends.tolist())  # frees the array now, and the list once paired
-    return _prechecked_digraph(top + 1 if n_declared is None else n_declared, tuple(zip(ends, ends)))
+    return top + 1 if n_declared is None else n_declared, np.concatenate(parts, axis=1)
+
+
+def _array_digraph(n_vertices: int, ends: np.ndarray) -> Digraph:
+    """A Digraph of ``n_vertices`` whose edge e runs from ``ends[0, e]`` to
+    ``ends[1, e]``, built without ``Digraph.__post_init__``: the caller has
+    checked that every entry lies in ``0..n_vertices - 1``.  ``ends`` is
+    made read-only and kept as ``_edge_ends`` keeps it, and ``edges`` is
+    built from it when first read."""
+    ends.flags.writeable = False
+    d = object.__new__(Digraph)
+    d.__dict__.update(n_vertices=n_vertices, _ends=ends)
+    return d
 
 
 def _prechecked_digraph(n_vertices: int, edges: tuple[tuple[int, int], ...]) -> Digraph:
     """A Digraph built without ``Digraph.__post_init__``, whose checks the
     caller has already made: ``n_vertices`` is a nonnegative int and
-    ``edges`` a tuple of pairs of ints in ``0..n_vertices - 1``.  Three
-    builders call it: the bulk and line parsers and ``iter_connected_multigraphs``."""
+    ``edges`` a tuple of pairs of ints in ``0..n_vertices - 1``.  Two
+    builders call it: the line parser and ``iter_connected_multigraphs``."""
     d = object.__new__(Digraph)
     d.__dict__.update(n_vertices=n_vertices, edges=edges)
     return d

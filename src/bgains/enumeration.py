@@ -46,8 +46,10 @@ increasing index order when the radix is ``|G2|``.  Decoding a coordinate
 vector applies the bijections above to it.  Streams are lexicographic over
 the coordinate vector, element index 0 first.  ``sample_uniform`` draws
 the same coordinates, in the same order, from ``random.Random(seed)``
-(Mersenne Twister, one ``randrange`` per radix), so samples are
-reproducible across platforms.
+(Mersenne Twister), with the values of one ``randrange`` per radix, so
+samples are reproducible across platforms.  The last run of equal radices
+is drawn in bulk from ``getrandbits``, which gives the values that those
+``randrange`` calls would (see ``_randrange_run``).
 
 Block decoding: the stream is decoded a block of labelings at a time, as a
 (rows, slots) array of element indices.  The trailing coordinates of a
@@ -431,7 +433,8 @@ class _Frame:
         return (_full_labeling(tuple(row[:n]), tuple(row[n:]), mode) for row in values.tolist())
 
     def decode(self, coords) -> EdgeLabeling | FullLabeling:
-        x = np.array([(*coords, self._group.identity)], dtype=np.intp)
+        x = np.empty((1, len(coords) + 1), dtype=np.intp)
+        x[0, :-1], x[0, -1] = coords, self._group.identity
         return next(self.labelings(self._values(x)))
 
     def encode(self, labeling: EdgeLabeling | FullLabeling) -> list[int]:
@@ -498,12 +501,45 @@ def sample_uniform(
     """One balanced labeling, uniform over the whole family.
 
     Randomness comes from ``random.Random(seed)`` alone; the free
-    coordinates are drawn in enumeration order with ``randrange``, then
-    decoded as in the stream, so a given seed yields the same labeling
-    everywhere.
+    coordinates are the values of one ``randrange`` per radix, in
+    enumeration order, then decoded as in the stream, so a given seed yields
+    the same labeling everywhere.  The last run of equal radices is drawn in
+    bulk, with the same values (see ``_randrange_run``).
     """
     _check_target(target)
     _check_mode(mode)
     frame = _Frame(group, d, target, mode)
     rng = random.Random(seed)
-    return frame.decode([rng.randrange(r) for r in frame.radices])
+    # The radices are |G2| at most once, then |G|: all but the last run of
+    # equal radices are few, and that run is drawn in bulk.
+    radices = frame.radices
+    head = len(radices) - radices.count(radices[-1]) if radices else 0
+    coords = [rng.randrange(r) for r in radices[:head]]
+    if head < len(radices):
+        run = _randrange_run(rng, radices[-1], len(radices) - head)
+        coords = np.concatenate((np.array(coords, dtype=np.intp), run))
+    return frame.decode(coords)
+
+
+def _randrange_run(rng: random.Random, r: int, m: int) -> np.ndarray:
+    """What ``[rng.randrange(r) for _ in range(m)]`` returns, leaving ``rng``
+    in another state, as an array.
+
+    For ``k = r.bit_length()`` up to 32, ``randrange(r)`` takes the top k
+    bits of the generator's next 32-bit word and draws again while they are
+    r or more; ``getrandbits(32 * m)`` returns the next m words, least
+    significant first.  So the kept values of a bulk draw, in order, are the
+    values of m calls.  The words past the m-th kept one are drawn for
+    nothing, which changes what ``rng`` draws next: only the last draw of a
+    generator may be made this way.
+    """
+    k = r.bit_length()
+    if k > 32:
+        return np.array([rng.randrange(r) for _ in range(m)])
+    kept, have = [], 0
+    while have < m:
+        words = np.frombuffer(rng.getrandbits(32 * (m - have)).to_bytes(4 * (m - have), "little"), "<u4")
+        values = words >> (32 - k)
+        kept.append(values[values < r])
+        have += len(kept[-1])
+    return np.concatenate(kept)[:m]

@@ -4,6 +4,7 @@ except where a real pipe is needed."""
 import decimal
 import hashlib
 import json
+import random
 import resource
 import subprocess
 import sys
@@ -506,6 +507,30 @@ def test_sample_unique_instance(run):
         code, out, _ = run("sample", TRIANGLE, "--group", "cyclic:1", "--target", "edges", "--mode", "flexible", "--seed", seed)
         assert code == EXIT_OK
         assert out == "0 0 0\n"
+
+
+def test_large_graph_operations_read_the_parsed_edge_array_alone(run, tmp_path, monkeypatch):
+    """The nine operations of the ``large-graph`` benchmark, on a smaller
+    graph built the same way (a random spanning tree with random
+    orientations, then uniform extra edges) but still above
+    ``_ARRAY_EDGES`` edges, never build the graph's edge tuples."""
+    rng = random.Random(5)
+    n = 6_000
+    edges = [(rng.randrange(v), v) if rng.random() < 0.5 else (v, rng.randrange(v)) for v in range(1, n)]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(n + 1)]
+    path = tmp_path / "large.txt"
+    path.write_text(f"n={n}\n" + "".join(f"{u} {w}\n" for u, w in edges))
+    graphs = []
+    monkeypatch.setattr(cli, "load_graph", lambda text: graphs.append(load_graph(text)) or graphs[-1])
+    cases = [("--target", target, "--mode", mode) for target in ("edges", "full") for mode in ("flexible", "rigid")]
+    ops = [("analyze", path)]
+    ops += [("count", path, "--group", "symmetric:3", *case, "--json") for case in cases]
+    ops += [("sample", path, "--group", "symmetric:3", *case, "--seed", str(k)) for k, case in enumerate(cases)]
+    for argv in ops:
+        code, _, err = run(*map(str, argv))
+        assert code == EXIT_OK, err
+    assert len(graphs) == 9 and graphs[0].n_edges >= digraph._ARRAY_EDGES
+    assert not any("edges" in d.__dict__ for d in graphs)
 
 
 # ------------------------------------------------------------ group-info

@@ -1,6 +1,8 @@
 """Graph loading and structural analysis."""
 
+import copy
 import itertools
+import pickle
 import random
 import tracemalloc
 
@@ -17,8 +19,10 @@ from bgains.digraph import (
     GraphFormatError,
     StructureReport,
     _analyze_arrays,
-    _load_bulk,
+    _array_digraph,
+    _edge_ends,
     _load_lines,
+    _parse_bytes,
     _spanning_forest,
     analyze,
     iter_connected_multigraphs,
@@ -83,7 +87,10 @@ _INDICES = (
 )
 _GAPS = (st.sampled_from([" ", "\t", "  ", " \t "]), st.sampled_from(["\xa0", "\x1f", "\u2003"]))
 _PADS = (st.sampled_from(["", " ", "\t"]), st.sampled_from(["\xa0", "\x0c"]))
-_COMMENTS = (st.sampled_from(["", "# c", "#", "# n=3", "# 1 2 3", "#\t#"]), st.sampled_from(["#\x85 5 6", "# \r 4", "# x"]))
+_COMMENTS = (
+    st.sampled_from(["", "# c", "#", "# n=3", "# 1 2 3", "#\t#"]),
+    st.sampled_from(["#\x85 5 6", "# \r 4", "# x", "#\x00", "# \x1c 1 2", "#\v 3 4", "# \f 5", "\r# c"]),
+)
 _ENDS = (st.sampled_from(["\n", "\r\n"]), st.sampled_from(["\r", "\x0b", "\x85", "\u2029", " "]))
 _N_VALUES = (st.sampled_from(["0", "5", "13", "1000000"]), st.sampled_from(["1000001", "٣", "-1"]))
 _ODD_LINES = st.sampled_from(["1", "1 2 3", "n", "n=", "= 3", "a b", "0 1 # 2 \x85 3"])
@@ -125,16 +132,34 @@ def _outcome(parse, text):
         return str(exc)
 
 
+def _bulk_graph(text):
+    """The graph that the byte parser reads from ``text``, or None where it
+    leaves the text to the line parser."""
+    parsed = _parse_bytes(text.encode("ascii")) if text.isascii() else None
+    return None if parsed is None else _array_digraph(*parsed)
+
+
 @given(_graph_texts())
 @settings(max_examples=1500, deadline=None)
 def test_bulk_parse_matches_the_line_parser(text):
     expected = _outcome(_load_lines, text)
     assert _outcome(load_graph, text) == expected
-    bulk = _load_bulk(text)
+    bulk = _bulk_graph(text)
     if bulk is not None:
         assert bulk == expected
     if isinstance(expected, Digraph):
         _assert_is_the_public_graph(expected)
+
+
+@given(_graph_texts(), st.integers(1, 12))
+@settings(max_examples=300, deadline=None)
+def test_chunks_cut_at_any_line_end_parse_alike(text, chunk):
+    """The byte parser's steps end at line ends past each multiple of
+    ``_CHUNK`` bytes; with steps of a line or two it reads what it reads in one."""
+    expected = _bulk_graph(text)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(digraph, "_CHUNK", chunk)
+        assert _bulk_graph(text) == expected
 
 
 def _assert_is_the_public_graph(d):
@@ -158,7 +183,7 @@ def _assert_is_the_public_graph(d):
     ],
 )
 def test_well_formed_texts_take_the_bulk_path(text):
-    assert _load_bulk(text) == _load_lines(text)
+    assert _bulk_graph(text) == _load_lines(text)
 
 
 @pytest.mark.parametrize(
@@ -172,7 +197,7 @@ def test_well_formed_texts_take_the_bulk_path(text):
     ],
 )
 def test_bulk_loaded_graph_equals_the_public_one(text):
-    _assert_is_the_public_graph(_load_bulk(text))
+    _assert_is_the_public_graph(_bulk_graph(text))
 
 
 @pytest.mark.parametrize(
@@ -185,10 +210,25 @@ def test_bulk_loaded_graph_equals_the_public_one(text):
     ],
 )
 def test_out_of_range_files_still_raise(text, message):
-    assert _load_bulk(text) is None
+    assert _bulk_graph(text) is None
     with pytest.raises(GraphFormatError) as exc:
         load_graph(text)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0 1\r", "0 1 # c\r1 2\n", "0\r1\n", "n=3\r0 1\n", "0 1\r# c\n",
+        "0 1 #\v2 1\n", "0 1 #\f\n", "0 1 # \x1c\n", "0 1 #\x00\n",
+    ],
+)
+def test_other_line_breaks_go_to_the_line_parser(text):
+    """``str.splitlines`` also breaks lines at a lone \\r, \\v, \\f and
+    \\x1c-\\x1e, so the byte parser leaves them, in a comment or not, to
+    the line parser."""
+    assert _bulk_graph(text) is None
+    assert _outcome(load_graph, text) == _outcome(_load_lines, text)
 
 
 def test_load_graph_memory_is_the_graph_and_little_more():
@@ -205,6 +245,42 @@ def test_load_graph_memory_is_the_graph_and_little_more():
         tracemalloc.stop()
     assert d.n_edges == lines
     assert peak - kept < 50 * lines
+
+
+def test_a_parsed_graph_keeps_its_edge_array_alone():
+    """A parsed graph holds its int32 edge array, 8 bytes per edge, and no
+    edge tuples, which take over 100 bytes per edge."""
+    rng = random.Random(0)
+    lines = 100_000
+    text = f"n={lines}\n" + "".join(f"{rng.randrange(lines)} {rng.randrange(lines)}\n" for _ in range(lines))
+    tracemalloc.start()
+    try:
+        d = load_graph(text)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d.n_edges == lines
+    assert kept < 16 * lines
+
+
+@pytest.mark.parametrize("parsed", [False, True], ids=["constructed", "parsed"])
+def test_copies_keep_no_caches_and_a_read_only_edge_array(parsed):
+    """A copy is rebuilt from the vertex count and the edges, or the edge
+    array of a parsed graph whose edges were never read, so it carries no
+    kept report, forest or writeable array.  The parsed graph is analyzed on
+    its array, which reads no edge tuple."""
+    d = load_graph("n=4\n" + "0 1\n1 0\n" * (_ARRAY_EDGES // 2)) if parsed else Digraph(4, ((0, 1), (1, 2)))
+    analyze(d), _edge_ends(d)
+    if not parsed:
+        _spanning_forest(d, rigid=True)
+    copies = [pickle.loads(pickle.dumps(d)), copy.deepcopy(d), copy.copy(d)]
+    for c in copies:
+        assert set(c.__dict__) == ({"n_vertices", "_ends"} if parsed else {"n_vertices", "edges"})
+        assert not _edge_ends(c).flags.writeable
+    if not parsed:
+        assert len(pickle.dumps(d)) == len(pickle.dumps(Digraph(4, ((0, 1), (1, 2)))))
+    for c in copies:
+        assert c == d and hash(c) == hash(d) and repr(c) == repr(d) and analyze(c) == analyze(d)
 
 
 def test_edge_ids_follow_file_order():

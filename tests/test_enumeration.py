@@ -517,6 +517,37 @@ def test_sample_deterministic(theta):
             assert is_balanced_full(g, theta, a)
 
 
+@pytest.mark.parametrize("spec", ["cyclic:1", "cyclic:2", "cyclic:3", "symmetric:3", "symmetric:4"])
+def test_samples_decode_one_randrange_per_radix(spec, triangle, cycle4, theta):
+    """Radices 1, 2, 3, 6 and 24; on the triangle, an odd cycle, full
+    flexible frames lead with a |G2| radix (4 for symmetric:3), equal to
+    |G| for cyclic:1 and cyclic:2.  The bulk draw of the last run must give
+    what one ``randrange`` per radix gives."""
+    g = make_group(spec)
+    graphs = [triangle, cycle4, theta, Digraph(1, ()), Digraph(2, ((0, 1), (1, 0), (0, 1), (1, 1)))]
+    if spec == "symmetric:3":
+        graphs.append(kept_graph("large"))
+    for d in graphs:
+        for target, mode in CASES:
+            frame = enumeration._Frame(g, d, target, mode)
+            for seed in range(50):
+                rng = random.Random(seed)
+                expected = frame.decode([rng.randrange(r) for r in frame.radices])
+                assert sample_uniform(g, d, target, mode, seed) == expected, (d.n_edges, target, mode, seed)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5, 6, 7, 24, 1000, 1024, 2**32 - 1, 2**32, 2**40])
+def test_bulk_draws_are_the_values_of_randrange(r):
+    """With and without a draw ahead of the run; from 2**32 on, by ``randrange`` itself."""
+    for seed in range(200):
+        for lead in (None, 4):
+            rng, bulk = random.Random(seed), random.Random(seed)
+            if lead:
+                rng.randrange(lead), bulk.randrange(lead)
+            m = 1 + seed % 40
+            assert enumeration._randrange_run(bulk, r, m).tolist() == [rng.randrange(r) for _ in range(m)]
+
+
 def test_sample_unique_labeling_cases():
     c1 = make_group("cyclic:1")
     tri = Digraph(3, ((0, 1), (1, 2), (2, 0)))
