@@ -119,6 +119,22 @@ MUTANTS = (
         ("tests/test_verify_grid.py::test_a_small_grid_checks_every_instance",),
     ),
     Mutant(
+        "rigid-full-edge-gather",
+        "enumeration.py",
+        "self._over[h[:, self._origins], f]",
+        "self._table[h[:, self._origins], f]",
+        "rigid full frames decode edge values as h(origin) f(e), not h(origin)^-1 f(e)",
+        ("tests/test_enumeration.py::test_rigid_pair_roundtrip_random",),
+    ),
+    Mutant(
+        "rigid-encode-whole-graph-forest",
+        "enumeration.py",
+        "_spanning_forest(self._d, self._mode == RIGID)",
+        "_spanning_forest(self._d, False)",
+        "rigid frames encode over a forest of the whole graph, whose tree edges may join two components",
+        ("tests/test_enumeration.py::test_rigid_pair_roundtrip_random",),
+    ),
+    Mutant(
         "bulk-draw-shift",
         "enumeration.py",
         "values = words >> (32 - k)",

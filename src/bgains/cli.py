@@ -58,9 +58,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 # A graph file is read and decoded whole.  A well-formed one becomes an int32
-# array, 8 bytes per edge, but a malformed one goes through the line parser,
-# and the breadth-first forest of a bipartite graph reads the edges: both
-# build one Python tuple per edge, 72 bytes or more for a line of as few as
+# array, 8 bytes per edge, but the line parser, which reads every other file,
+# builds one Python tuple per edge, 72 bytes or more for a line of as few as
 # 4.  So the file's length is capped: 32 MiB holds 2.4 million edges between
 # six-digit vertex indices.
 GRAPH_FILE_LIMIT = 32 * 2**20

@@ -49,9 +49,9 @@ its number.  A graph parsed from bytes holds only that array; its ``edges``
 tuple is built when first read, and the counts, ``analyze`` above
 ``_ARRAY_EDGES`` edges and the frames read the array alone.
 
-The constructor checks every edge.  Three builders skip it, since each has
-checked or generated every edge itself: the two parsers and
-``iter_connected_multigraphs``.
+The constructor checks every edge.  Only the byte parser's builder,
+``_array_digraph``, skips it, since the byte parser has checked every entry
+of its array.
 """
 
 from __future__ import annotations
@@ -242,23 +242,15 @@ def _parse_bytes(data: bytes) -> tuple[int, np.ndarray] | None:
 
 def _array_digraph(n_vertices: int, ends: np.ndarray) -> Digraph:
     """A Digraph of ``n_vertices`` whose edge e runs from ``ends[0, e]`` to
-    ``ends[1, e]``, built without ``Digraph.__post_init__``: the caller has
-    checked that every entry lies in ``0..n_vertices - 1``.  ``ends`` is
+    ``ends[1, e]``, built without ``Digraph.__post_init__``.  It is the one
+    builder that skips the constructor's check: its arrays come from the
+    byte parser, which has checked that every entry lies in
+    ``0..n_vertices - 1``, or from a copy of such a graph.  ``ends`` is
     made read-only and kept as ``_edge_ends`` keeps it, and ``edges`` is
     built from it when first read."""
     ends.flags.writeable = False
     d = object.__new__(Digraph)
     d.__dict__.update(n_vertices=n_vertices, _ends=ends)
-    return d
-
-
-def _prechecked_digraph(n_vertices: int, edges: tuple[tuple[int, int], ...]) -> Digraph:
-    """A Digraph built without ``Digraph.__post_init__``, whose checks the
-    caller has already made: ``n_vertices`` is a nonnegative int and
-    ``edges`` a tuple of pairs of ints in ``0..n_vertices - 1``.  Two
-    builders call it: the line parser and ``iter_connected_multigraphs``."""
-    d = object.__new__(Digraph)
-    d.__dict__.update(n_vertices=n_vertices, edges=edges)
     return d
 
 
@@ -309,7 +301,7 @@ def _load_lines(text: str) -> Digraph:
         if not edges:
             raise GraphFormatError("no n= line and no edges: vertex count is undefined")
         n_declared = 1 + max(max(u, w) for u, w in edges)
-    return _prechecked_digraph(n_declared, tuple(edges))
+    return Digraph(n_declared, edges)
 
 
 def _spanning_forest(d: Digraph, rigid: bool = False) -> tuple[tuple, tuple[bool, ...]]:
@@ -330,7 +322,9 @@ def _breadth_first_forest(d: Digraph, part: Sequence[int] | None) -> tuple[tuple
     ``backwards``), and whether each vertex lies at odd depth.
     """
     incident: list[list[tuple[int, int, bool]]] = [[] for _ in range(d.n_vertices)]
-    for e, (u, w) in enumerate(d.edges):
+    # A parsed graph's edge tuples stay unbuilt: read its array's rows instead.
+    edges = d.edges if "edges" in d.__dict__ else zip(*_edge_ends(d).tolist())
+    for e, (u, w) in enumerate(edges):
         if part is None or part[u] == part[w]:
             incident[u].append((e, w, False))
             incident[w].append((e, u, True))
@@ -637,6 +631,6 @@ def iter_connected_multigraphs(max_vertices: int, max_edges: int) -> Iterator[Di
         pairs = [(u, w) for u in range(n) for w in range(n)]
         for m in range(max_edges + 1):
             for combo in itertools.combinations_with_replacement(pairs, m):
-                d = _prechecked_digraph(n, combo)
+                d = Digraph(n, combo)
                 if analyze(d).weakly_connected:
                     yield d

@@ -184,7 +184,11 @@ class Potential:
     base_vertex: int = 0
 
 
-def _connected_report(d: Digraph) -> StructureReport:
+def _checked_instance(d: Digraph, target: str, mode: str) -> tuple[StructureReport, int, int]:
+    """Check an instance, in the order target, mode, graph; return the
+    graph's structure report and the closed form's (s, t)."""
+    _check_target(target)
+    _check_mode(mode)
     if d.n_vertices == 0:
         raise NotWeaklyConnectedError("graph has no vertices")
     report = analyze(d)
@@ -193,14 +197,12 @@ def _connected_report(d: Digraph) -> StructureReport:
             "graph is not weakly connected; counts and enumeration are defined "
             "per weakly connected graph"
         )
-    return report
+    return report, *_exponents(d.n_vertices, report, target, mode)
 
 
 def count(group: FiniteGroup, d: Digraph, target: str, mode: str) -> BalancedCount:
     """Exact number of balanced labelings, from the closed forms above."""
-    _check_target(target)
-    _check_mode(mode)
-    s, t = _exponents(d.n_vertices, _connected_report(d), target, mode)
+    _, s, t = _checked_instance(d, target, mode)
     return BalancedCount.of(s, t, group)
 
 
@@ -344,8 +346,7 @@ class _Frame:
     _odd = None  # on bipartite full flexible frames, the odd-depth vertices
 
     def __init__(self, group: FiniteGroup, d: Digraph, target: str, mode: str):
-        report = _connected_report(d)
-        s, t = _exponents(d.n_vertices, report, target, mode)
+        report, s, t = _checked_instance(d, target, mode)
         self.radices = (len(group.involutions()),) * s + (group.order,) * t
         self._group, self._d, self._target, self._mode = group, d, target, mode
         n = self._n = d.n_vertices
@@ -481,8 +482,6 @@ def enumerate_all(
     the labeling as one line of text: the tokens of its vertex values (full
     labelings) and then of its edge values, joined by single spaces.
     """
-    _check_target(target)
-    _check_mode(mode)
     frame = _Frame(group, d, target, mode)
     if tokens is None:
         for values in frame.blocks():
@@ -506,8 +505,6 @@ def sample_uniform(
     the same labeling everywhere.  The last run of equal radices is drawn in
     bulk, with the same values (see ``_randrange_run``).
     """
-    _check_target(target)
-    _check_mode(mode)
     frame = _Frame(group, d, target, mode)
     rng = random.Random(seed)
     # The radices are |G2| at most once, then |G|: all but the last run of

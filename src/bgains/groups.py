@@ -379,23 +379,23 @@ def _take_int(s: str, head: str) -> tuple[int, str]:
         raise GroupSpecError(f"{head}: integer parameter of {i} digits is too long") from None
 
 
+def _quaternion(n: int) -> FiniteGroup:
+    if n != 8:
+        raise GroupSpecError(f"only quaternion:8 is supported, got quaternion:{n}")
+    return quaternion_group()
+
+
+# The spec families ``family:n``, by name, and the constructor each takes n to.
+_FAMILIES = {"cyclic": cyclic_group, "dihedral": dihedral_group, "symmetric": symmetric_group, "quaternion": _quaternion}
+
+
 def _parse_spec(s: str, depth: int) -> tuple[FiniteGroup, str]:
     """Parse one spec from the front of ``s``, inside ``depth`` enclosing
     products; return the group and the unparsed rest."""
-    if s.startswith("cyclic:"):
-        n, rest = _take_int(s[len("cyclic:") :], "cyclic")
-        return cyclic_group(n), rest
-    if s.startswith("dihedral:"):
-        n, rest = _take_int(s[len("dihedral:") :], "dihedral")
-        return dihedral_group(n), rest
-    if s.startswith("symmetric:"):
-        n, rest = _take_int(s[len("symmetric:") :], "symmetric")
-        return symmetric_group(n), rest
-    if s.startswith("quaternion:"):
-        n, rest = _take_int(s[len("quaternion:") :], "quaternion")
-        if n != 8:
-            raise GroupSpecError(f"only quaternion:8 is supported, got quaternion:{n}")
-        return quaternion_group(), rest
+    family, colon, body = s.partition(":")
+    if colon and family in _FAMILIES:
+        n, rest = _take_int(body, family)
+        return _FAMILIES[family](n), rest
     if s.startswith("product:"):
         if depth == _NESTING_LIMIT:
             raise GroupSpecError(f"product: nests deeper than the supported limit {_NESTING_LIMIT}")

@@ -42,12 +42,20 @@ def test_the_guard_sees_imports_anywhere_in_a_module(tmp_path):
 
 def test_the_package_namespace_is_its_all_and_its_modules():
     """The package republishes its modules' ``__all__`` by wildcard imports;
-    a fresh interpreter shows exactly those names and the modules."""
-    code = "import bgains; print(*sorted(bgains.__all__)); print(*sorted(vars(bgains)))"
+    a fresh interpreter shows exactly those names and the modules.  The
+    package's ``__all__`` joins the modules' lists, so they must not share
+    a name, and it holds each name once."""
+    modules = ("balance", "digraph", "enumeration", "groups")
+    code = (
+        "import bgains; print(*bgains.__all__); print(*sorted(vars(bgains)))\n"
+        f"for m in {modules}: print(*getattr(bgains, m).__all__)"
+    )
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    exported, names = subprocess.run(
+    exported, names, *module_lists = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout.splitlines()
     public = {name for name in names.split() if not name.startswith("__")}
-    modules = {"balance", "digraph", "enumeration", "groups"}
-    assert public == set(exported.split()) - {"__version__"} | modules
+    assert public == set(exported.split()) - {"__version__"} | set(modules)
+    module_names = [name for line in module_lists for name in line.split()]
+    assert len(module_names) == len(set(module_names))
+    assert len(exported.split()) == len(set(exported.split()))

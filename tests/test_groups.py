@@ -64,26 +64,31 @@ def test_orders(spec, order):
     assert g.name == spec
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        "cyclic:0",
-        "cyclic:",
-        "cyclic",
-        "dihedral:2",
-        "symmetric:0",
-        "symmetric:6",
-        "quaternion:4",
-        "product:cyclic:2",
-        "product:cyclic:2;cyclic:2",
-        "frobnicate:5",
-        "cyclic:3,cyclic:2",
-        "table:",
-        "cyclic:²",
-    ],
-)
+_UNRECOGNIZED = "; expected cyclic:n, dihedral:n, symmetric:n, quaternion:8, product:<spec>,<spec> or table:<path>"
+BAD_SPECS = {
+    "cyclic:0": "cyclic:n requires n >= 1, got 0",
+    "cyclic:": "cyclic: expected an integer parameter",
+    "cyclic": "unrecognized group spec 'cyclic'" + _UNRECOGNIZED,
+    "dihedral:2": "dihedral:n requires n >= 3, got 2",
+    "symmetric:0": "symmetric:n requires 1 <= n <= 5, got 0",
+    "symmetric:6": "symmetric:n requires 1 <= n <= 5, got 6",
+    "quaternion:4": "only quaternion:8 is supported, got quaternion:4",
+    "product:cyclic:2": "product:<spec>,<spec> needs two comma-separated specs",
+    "product:cyclic:2;cyclic:2": "product:<spec>,<spec> needs two comma-separated specs",
+    "frobnicate:5": "unrecognized group spec 'frobnicate:5'" + _UNRECOGNIZED,
+    "cyclic:3,cyclic:2": "trailing text ',cyclic:2' after group spec in 'cyclic:3,cyclic:2'",
+    "table:": "table: requires a file path",
+    "cyclic:²": "cyclic: expected an integer parameter",
+    # Look-alikes of a family name: only the exact name before the colon counts.
+    "cyclicx:3": "unrecognized group spec 'cyclicx:3'" + _UNRECOGNIZED,
+    "Cyclic:3": "unrecognized group spec 'Cyclic:3'" + _UNRECOGNIZED,
+    ":3": "unrecognized group spec ':3'" + _UNRECOGNIZED,
+}
+
+
+@pytest.mark.parametrize("spec", BAD_SPECS)
 def test_bad_specs(spec):
-    with pytest.raises(GroupSpecError):
+    with pytest.raises(GroupSpecError, match=f"^{re.escape(BAD_SPECS[spec])}$"):
         make_group(spec)
 
 
