@@ -143,12 +143,20 @@ MUTANTS = (
         ("tests/test_enumeration.py::test_samples_decode_one_randrange_per_radix",),
     ),
     Mutant(
-        "byte-parser-lone-return",
+        "byte-parser-underscore-digit",
         "digraph.py",
-        "returns[-1] == len(b) - 1 or np.any(b[returns + 1] != 10)",
-        "False",
-        "the byte parser reads a lone \\r as a blank, where str.splitlines ends a line",
-        ("tests/test_digraph.py::test_other_line_breaks_go_to_the_line_parser",),
+        "digit = (b >= 48) & (b <= 57)",
+        "digit = (b >= 48) & (b <= 57) | (b == 95)",
+        "the byte parser reads _ as a digit, so 1_0 0 parses to an edge where the format has a bad line",
+        ("tests/test_digraph.py::test_bulk_parse_matches_the_line_parser",),
+    ),
+    Mutant(
+        "byte-parser-return-not-line-end",
+        "digraph.py",
+        "line_ends = np.flatnonzero((b == 10) | (b == 13))",
+        "line_ends = np.flatnonzero(b == 10)",
+        "the byte parser reads a lone \\r as a blank, not as a line end, and declines two edges split by one",
+        ("tests/test_digraph.py::test_bulk_parse_matches_the_line_parser",),
     ),
 )
 

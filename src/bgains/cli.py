@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import decimal
 import functools
-import io
 import json
 import os
 import sys
@@ -57,11 +56,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-# A graph file is read and decoded whole.  A well-formed one becomes an int32
-# array, 8 bytes per edge, but the line parser, which reads every other file,
-# builds one Python tuple per edge, 72 bytes or more for a line of as few as
-# 4.  So the file's length is capped: 32 MiB holds 2.4 million edges between
-# six-digit vertex indices.
+# A graph file is read whole and parsed from its bytes.  The parse keeps the
+# file, some megabytes of temporaries per 64 KiB step and the int32 edge
+# array, 8 bytes per edge, so what bounds its memory is the file's length;
+# and an endless file such as /dev/zero would never end.  So the length is
+# capped: 32 MiB holds 2.4 million edges between six-digit vertex indices.
 GRAPH_FILE_LIMIT = 32 * 2**20
 
 
@@ -74,8 +73,7 @@ def _load_graph_file(path: str) -> Digraph:
             data += chunk
             if len(data) > GRAPH_FILE_LIMIT:
                 raise GraphFormatError(f"{path}: graph file exceeds the limit of {GRAPH_FILE_LIMIT:,} bytes")
-    # Decoded and newline-translated as open(path).read() would.
-    return load_graph(io.TextIOWrapper(io.BytesIO(data)).read())
+    return load_graph(data)
 
 
 def _tokens(group: FiniteGroup, show_elements: bool) -> tuple[str, ...]:

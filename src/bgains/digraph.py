@@ -38,16 +38,19 @@ Graph file format::
     2 3
 
 Edge ids follow file order.  A file may name at most 1,000,000 vertices.
+A file is bytes: ASCII digits, spaces and tabs, in lines that end with
+``\\n``, ``\\r\\n`` or a lone ``\\r``, and a number has at most 18 digits.  A
+comment runs from the first ``#`` of a line to its end and may hold any
+other byte.  ``load_graph`` reads a ``str`` as its UTF-8 bytes.
 
-A well-formed ASCII file (digits, spaces and tabs, ``\n`` or ``\r\n``
-line ends, comments of printable characters and tabs) is parsed by numpy
-over its bytes, in chunks cut at line ends: character classes by
-comparison, the digit runs and the line of each run, and the integers,
-straight into the int32 edge array.  Any other text, malformed or not,
-goes through the line-by-line parser, which reports the first bad line by
-its number.  A graph parsed from bytes holds only that array; its ``edges``
-tuple is built when first read, and the counts, ``analyze`` above
-``_ARRAY_EDGES`` edges and the frames read the array alone.
+``_parse_bytes`` is the one parser: numpy reads the file over its bytes,
+in chunks cut at line ends: character classes by comparison, the digit runs
+and the line of each run, and the integers, straight into the int32 edge
+array.  Only a file that it declines goes on to ``_first_error``, which
+names the first bad line by its number and builds no graph.  A parsed
+graph holds only that array; its ``edges`` tuple is built when first read,
+and the counts, ``analyze`` above ``_ARRAY_EDGES`` edges and the frames
+read the array alone.
 
 The constructor checks every edge.  Only the byte parser's builder,
 ``_array_digraph``, skips it, since the byte parser has checked every entry
@@ -148,15 +151,18 @@ class StructureReport:
     scc_assignment: tuple[int, ...]
 
 
-_N_LINE = re.compile(r"^n\s*=\s*(\d+)$")
-
 # analyze and the enumerators allocate per-vertex structures, so a file
 # naming a huge vertex count would exhaust memory before any other check.
 _VERTEX_LIMIT = 1_000_000
 
-# The byte parser's view of an n= line, from its "n" to the line end, its
-# comment cut off.  It reads numbers of at most 18 digits, which fit in an int64.
-_HEAD = re.compile(rb"n[ \t]*=[ \t]*([0-9]{1,18})[ \t\r]*")
+# A line end: \n, \r\n (read as a line end and an empty line) or a lone \r,
+# the breaks of bytes.splitlines.
+_LINE_END = re.compile(rb"[\r\n]")
+
+# A well-formed significant line with its comment cut off and its spaces and
+# tabs stripped: an n= line or an edge.  A number has at most 18 digits,
+# which fit in an int64.
+_LINE = re.compile(rb"(?:n[ \t]*=[ \t]*|[0-9]{1,18}[ \t]+)[0-9]{1,18}")
 
 # Bytes per step of the byte parser, which cuts the text at the first line
 # end past each multiple of this: its temporaries, a few bytes per byte of
@@ -164,35 +170,32 @@ _HEAD = re.compile(rb"n[ \t]*=[ \t]*([0-9]{1,18})[ \t\r]*")
 _CHUNK = 2**16
 
 
-def load_graph(text: str) -> Digraph:
-    """Parse graph file text (see module docstring for the format)."""
-    parsed = _parse_bytes(text.encode("ascii")) if text.isascii() else None
-    return _array_digraph(*parsed) if parsed else _load_lines(text)
+def load_graph(text: str | bytes) -> Digraph:
+    """Parse a graph file (see module docstring for the format), given as
+    bytes or as a str, which is read as its UTF-8 bytes."""
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    parsed = _parse_bytes(data)
+    if parsed is None:
+        raise _first_error(data)
+    return _array_digraph(*parsed)
 
 
 def _parse_bytes(data: bytes) -> tuple[int, np.ndarray] | None:
     """The vertex count and the (2, E) int32 edge array of a well-formed
-    ASCII text, or None for the line parser to take it (and to report the
-    error, if there is one).
+    graph file, or None for ``_first_error`` to name its first bad line.
 
-    The text is well formed when, with comments cut off, it holds digits,
-    spaces, tabs and line ends, its first significant line is an optional
-    ``n=`` line and every other line holds no index or two, each in range.
-    ``str.splitlines`` also breaks lines at a lone ``\\r``, ``\\v``, ``\\f``
-    and ``\\x1c``-``\\x1e``, so a lone ``\\r`` anywhere, and a comment
-    holding anything but printable characters and tabs, send the text to
-    the line parser.
+    The file is well formed when, with comments cut off, it holds ASCII
+    digits, spaces, tabs and line ends, its first significant line is an
+    optional ``n=`` line and every other line holds no index or two, each
+    of at most 18 digits and in range.
     """
     n_declared, seen, top, parts = None, False, -1, [np.empty((2, 0), np.int32)]
     start = 0
     while start < len(data):
-        stop = data.find(b"\n", start + _CHUNK) + 1 or len(data)
-        b = np.frombuffer(data, np.uint8, stop - start, start)
+        cut = _LINE_END.search(data, start + _CHUNK)
+        b = np.frombuffer(data, np.uint8, (cut.end() if cut else len(data)) - start, start)
         start += len(b)
-        line_ends = np.flatnonzero(b == 10)
-        returns = np.flatnonzero(b == 13)
-        if len(returns) and (returns[-1] == len(b) - 1 or np.any(b[returns + 1] != 10)):
-            return None
+        line_ends = np.flatnonzero((b == 10) | (b == 13))
         blank = (b == 32) | (b == 9) | (b == 13) | (b == 10)
         digit = (b >= 48) & (b <= 57)
         hashes = np.flatnonzero(b == 35)
@@ -204,20 +207,19 @@ def _parse_bytes(data: bytes) -> tuple[int, np.ndarray] | None:
             bounds[hashes[leading]] = 1
             bounds[np.append(line_ends, len(b))[line[leading]]] = -1
             comment = np.cumsum(bounds[:-1], dtype=np.int8).view(bool)
-            inside = b[comment]
-            if np.any(((inside < 32) | (inside > 126)) & (inside != 9) & (inside != 13)):
-                return None
             blank |= comment
             digit &= ~comment
         if not seen and not blank.all():
             seen, first = True, int(np.argmax(~blank))
             if b[first] == 110:  # "n": the n= line, read and then blanked out
-                head = bytes(b[first:]).partition(b"\n")[0]
-                match = _HEAD.fullmatch(head.partition(b"#")[0])
-                if not match or int(match[1]) > _VERTEX_LIMIT:
+                end = np.append(line_ends, len(b))[np.searchsorted(line_ends, first)]
+                head = bytes(b[first:end]).partition(b"#")[0].rstrip(b" \t")
+                if not _LINE.fullmatch(head):
                     return None
-                n_declared = int(match[1])
-                blank[first : first + len(head)], digit[first : first + len(head)] = True, False
+                n_declared = int(head.partition(b"=")[2])
+                if n_declared > _VERTEX_LIMIT:
+                    return None
+                blank[first:end], digit[first:end] = True, False
         if not np.all(blank | digit):
             return None
         # The digit runs start and stop where ``digit`` flips.  Each line
@@ -240,6 +242,54 @@ def _parse_bytes(data: bytes) -> tuple[int, np.ndarray] | None:
     return top + 1 if n_declared is None else n_declared, np.concatenate(parts, axis=1)
 
 
+def _first_error(data: bytes) -> GraphFormatError:
+    """The error that names the first bad line of a graph file that
+    ``_parse_bytes`` declined, or says that no line is significant.
+
+    Each line is read first as text: split at any whitespace, its numbers
+    read by ``int``.  So a line at fault for its fields, its integers or
+    their range gets the message that names that fault.  A line that passes
+    must still match ``_LINE``, the format's ASCII digits, spaces and tabs.
+    """
+    n_declared, seen = None, False
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        line = raw.partition(b"#")[0].strip(b" \t")
+        if not line:
+            continue
+        text = line.decode("utf-8", "backslashreplace")
+        name, equals, count = (part.strip() for part in text.partition("="))
+        if equals and name == "n" and count.isdecimal():
+            if seen:
+                return GraphFormatError(f"line {lineno}: n= is only allowed as the first significant line")
+            n_declared = int(count)
+            if n_declared > _VERTEX_LIMIT:
+                return GraphFormatError(
+                    f"line {lineno}: n={n_declared} exceeds the limit of {_VERTEX_LIMIT} vertices"
+                )
+        else:
+            fields = text.split()
+            if len(fields) != 2:
+                return GraphFormatError(f"line {lineno}: expected 'origin endpoint', got {text.strip()!r}")
+            try:
+                low, top = sorted(map(int, fields))
+            except ValueError:
+                return GraphFormatError(f"line {lineno}: vertex indices must be integers")
+            if low < 0:
+                return GraphFormatError(f"line {lineno}: vertex indices must be nonnegative")
+            if n_declared is not None and top >= n_declared:
+                return GraphFormatError(f"line {lineno}: vertex index {top} out of range for n={n_declared}")
+            if top >= _VERTEX_LIMIT:
+                return GraphFormatError(f"line {lineno}: vertex index {top} exceeds the limit of {_VERTEX_LIMIT} vertices")
+        seen = True
+        if not _LINE.fullmatch(line):
+            return GraphFormatError(
+                f"line {lineno}: expected numbers of 1 to 18 ASCII digits between spaces or tabs, got {text!r}"
+            )
+    if not seen:
+        return GraphFormatError("no n= line and no edges: vertex count is undefined")
+    raise AssertionError("the byte parser declined a graph file that has no bad line")
+
+
 def _array_digraph(n_vertices: int, ends: np.ndarray) -> Digraph:
     """A Digraph of ``n_vertices`` whose edge e runs from ``ends[0, e]`` to
     ``ends[1, e]``, built without ``Digraph.__post_init__``.  It is the one
@@ -252,56 +302,6 @@ def _array_digraph(n_vertices: int, ends: np.ndarray) -> Digraph:
     d = object.__new__(Digraph)
     d.__dict__.update(n_vertices=n_vertices, _ends=ends)
     return d
-
-
-def _load_lines(text: str) -> Digraph:
-    """Parse graph file text one line at a time, naming the first bad line."""
-    n_declared: int | None = None
-    edges: list[tuple[int, int]] = []
-    seen_significant = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        m = _N_LINE.match(line)
-        if m:
-            if seen_significant:
-                raise GraphFormatError(
-                    f"line {lineno}: n= is only allowed as the first significant line"
-                )
-            n_declared = int(m.group(1))
-            if n_declared > _VERTEX_LIMIT:
-                raise GraphFormatError(
-                    f"line {lineno}: n={n_declared} exceeds the limit of {_VERTEX_LIMIT} vertices"
-                )
-            seen_significant = True
-            continue
-        seen_significant = True
-        fields = line.split()
-        if len(fields) != 2:
-            raise GraphFormatError(
-                f"line {lineno}: expected 'origin endpoint', got {line!r}"
-            )
-        try:
-            u, w = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: vertex indices must be integers") from None
-        if u < 0 or w < 0:
-            raise GraphFormatError(f"line {lineno}: vertex indices must be nonnegative")
-        if n_declared is not None and (u >= n_declared or w >= n_declared):
-            raise GraphFormatError(
-                f"line {lineno}: vertex index {max(u, w)} out of range for n={n_declared}"
-            )
-        if max(u, w) >= _VERTEX_LIMIT:
-            raise GraphFormatError(
-                f"line {lineno}: vertex index {max(u, w)} exceeds the limit of {_VERTEX_LIMIT} vertices"
-            )
-        edges.append((u, w))
-    if n_declared is None:
-        if not edges:
-            raise GraphFormatError("no n= line and no edges: vertex count is undefined")
-        n_declared = 1 + max(max(u, w) for u, w in edges)
-    return Digraph(n_declared, edges)
 
 
 def _spanning_forest(d: Digraph, rigid: bool = False) -> tuple[tuple, tuple[bool, ...]]:

@@ -229,10 +229,8 @@ def potential_to_edges(group: FiniteGroup, d: Digraph, p: Potential) -> EdgeLabe
     if len(p.values) != d.n_vertices:
         raise ValueError(f"potential has {len(p.values)} values for {d.n_vertices} vertices")
     _check_elements(group, p.values)
-    mul, inv = group.mul, group.inv
-    return EdgeLabeling(
-        tuple(mul(inv(p.values[u]), p.values[w]) for u, w in d.edges), FLEXIBLE
-    )
+    values, (origins, endpoints) = np.array(p.values, dtype=np.intp), _edge_ends(d)
+    return EdgeLabeling(tuple(group.over_array[values[origins], values[endpoints]].tolist()), FLEXIBLE)
 
 
 def edges_to_potential(group: FiniteGroup, d: Digraph, f: EdgeLabeling, base: int = 0) -> Potential:

@@ -15,7 +15,7 @@ import pytest
 from bgains import cli, digraph, enumeration, groups
 from bgains.balance import FULL, RIGID, FullLabeling, is_balanced_full
 from bgains.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
-from bgains.digraph import load_graph
+from bgains.digraph import Digraph, load_graph
 from bgains.groups import make_group
 
 from graph_helpers import DATA, HashingStdout, cli_stdout_sha256, data_text
@@ -113,12 +113,41 @@ def test_graph_file_cap_is_in_bytes(run, tmp_path, monkeypatch):
     path = tmp_path / "g.txt"
     path.write_bytes(text.encode())
     monkeypatch.setattr(cli, "GRAPH_FILE_LIMIT", len(text.encode()))
-    # Decoded and newline-translated as Path.read_text does.
-    assert cli._load_graph_file(str(path)) == load_graph(path.read_text())
+    # The file's bytes are parsed as they are: the lone \r ends a line, and
+    # the cap counts the two bytes of the é in the comment.
+    assert cli._load_graph_file(str(path)) == load_graph(path.read_text()) == Digraph(3, ((0, 1), (2, 1)))
     monkeypatch.setattr(cli, "GRAPH_FILE_LIMIT", len(text.encode()) - 1)
     code, out, err = run("analyze", str(path))
     assert (code, out) == (EXIT_USAGE, "")
     assert err == f"error: {path}: graph file exceeds the limit of {len(text.encode()) - 1:,} bytes\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1_0 0\n", "+1 0\n", "\u0663 0\n", "0\xa01\n", "0 1\v1 0\n"],
+    ids=["underscore", "plus", "arabic-indic-digit", "no-break-space", "vertical-tab"],
+)
+def test_graph_files_outside_the_format_are_refused(run, tmp_path, text):
+    """Each of these once parsed to a graph, through str.splitlines, int()
+    and str.split; the format allows ASCII digits, spaces and tabs alone."""
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode())
+    code, out, err = run("analyze", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: line 1: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "data", [b"0 1 # \x1c 1 2\n", b"0 1 # \xff\xfe 1 2\n"], ids=["file-separator", "not-utf-8"]
+)
+def test_a_comment_holds_any_byte_to_the_line_end(run, tmp_path, data):
+    """A \x1c once ended the line, and a byte that is not UTF-8 once failed
+    the decode; in a comment, both are comment bytes like any other."""
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    assert cli._load_graph_file(str(path)) == Digraph(2, ((0, 1),))
+    code, out, _ = run("analyze", str(path))
+    assert code == EXIT_OK and json.loads(out)["scc_assignment"] == [0, 1]
 
 
 # ----------------------------------------------------------------- count

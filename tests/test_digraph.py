@@ -4,12 +4,13 @@ import copy
 import itertools
 import pickle
 import random
+import re
 import tracemalloc
 
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bgains import digraph
@@ -21,7 +22,6 @@ from bgains.digraph import (
     _analyze_arrays,
     _array_digraph,
     _edge_ends,
-    _load_lines,
     _parse_bytes,
     _spanning_forest,
     analyze,
@@ -79,21 +79,23 @@ def test_load_at_vertex_limit():
 
 
 # Pieces of graph file lines: (plain, odd).  A text of plain pieces is well
-# formed unless an index is out of range; each odd piece is something that
-# the bulk path must leave to the line parser.
+# formed unless an index is out of range; an odd piece is most often outside
+# the format.
 _INDICES = (
     st.sampled_from([*map(str, range(13))] * 3 + ["007", "999999", "1000000", "18446744073709551617"]),
-    st.sampled_from(["-1", "+1", "1_0", "٣", "１", "x", "1.0"]),
+    st.sampled_from(["-1", "+1", "1_0", "٣", "１", "x", "1.0", "0000000000000000000001"]),
 )
-_GAPS = (st.sampled_from([" ", "\t", "  ", " \t "]), st.sampled_from(["\xa0", "\x1f", "\u2003"]))
-_PADS = (st.sampled_from(["", " ", "\t"]), st.sampled_from(["\xa0", "\x0c"]))
+_GAPS = (st.sampled_from([" ", "\t", "  ", " \t "]), st.sampled_from(["\xa0", "\x1f", " ", "\v", "\f"]))
+_PADS = (st.sampled_from(["", " ", "\t"]), st.sampled_from(["\xa0", "\x0c", "\x1c"]))
 _COMMENTS = (
-    st.sampled_from(["", "# c", "#", "# n=3", "# 1 2 3", "#\t#"]),
-    st.sampled_from(["#\x85 5 6", "# \r 4", "# x", "#\x00", "# \x1c 1 2", "#\v 3 4", "# \f 5", "\r# c"]),
+    st.sampled_from(["", "# c", "#", "# n=3", "# 1 2 3", "#\t#", "#\x85 5 6", "# \x1c 1 2", "#\v 3 4", "#\x00",
+                     "# \udcff 7 8", "#\udc80"]),
+    st.sampled_from(["# \r 4", "\r# c", "#   9"]),
 )
-_ENDS = (st.sampled_from(["\n", "\r\n"]), st.sampled_from(["\r", "\x0b", "\x85", "\u2029", " "]))
-_N_VALUES = (st.sampled_from(["0", "5", "13", "1000000"]), st.sampled_from(["1000001", "٣", "-1"]))
-_ODD_LINES = st.sampled_from(["1", "1 2 3", "n", "n=", "= 3", "a b", "0 1 # 2 \x85 3"])
+_ENDS = (st.sampled_from(["\n", "\r\n", "\r"]), st.sampled_from(["\x0b", "\x85", " ", " "]))
+_N_VALUES = (st.sampled_from(["0", "5", "13", "1000000"]),
+             st.sampled_from(["1000001", "٣", "-1", "00000000000000000005"]))
+_ODD_LINES = st.sampled_from(["1", "1 2 3", "n", "n=", "= 3", "a b", "0 1 # 2 \x85 3", "\udcff"])
 
 
 def _piece(draw, pieces, odd_share):
@@ -103,7 +105,9 @@ def _piece(draw, pieces, odd_share):
 
 @st.composite
 def _graph_texts(draw):
-    odd_share = draw(st.sampled_from([0, 0, 5, 30]))  # percent of odd pieces
+    """Graph file texts, as a str or, as often, as bytes.  A surrogate of
+    the str, in a comment or not, becomes a byte that is not UTF-8."""
+    odd_share = draw(st.sampled_from([0, 0, 1, 5, 30]))  # percent of odd pieces
 
     def line():
         kind = draw(st.sampled_from(["edge"] * 12 + ["blank"] * 2 + ["n", "odd"]))
@@ -122,44 +126,90 @@ def _graph_texts(draw):
     if draw(st.booleans()):
         lines.insert(0, _piece(draw, _PADS, odd_share) + "n" + _piece(draw, _PADS, odd_share) + "="
                      + _piece(draw, _PADS, odd_share) + _piece(draw, _N_VALUES, odd_share) + "\n")
-    return "".join(lines) + draw(st.sampled_from(["", "0 1", "# tail", "\n"]))
+    text = "".join(lines) + draw(st.sampled_from(["", "0 1", "# tail", "\n"]))
+    return text.encode("utf-8", "surrogateescape") if draw(st.booleans()) else text
 
 
-def _outcome(parse, text):
+def _as_bytes(text):
+    """The bytes that ``load_graph`` reads of ``text``."""
+    return text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+
+
+# The format's significant lines, comment included; a line of bytes.splitlines
+# holds no \n or \r, so a comment may hold any byte.
+_N_ROW = re.compile(rb"[ \t]*n[ \t]*=[ \t]*([0-9]{1,18})[ \t]*(?:#.*)?", re.DOTALL)
+_EDGE_ROW = re.compile(rb"[ \t]*([0-9]{1,18})[ \t]+([0-9]{1,18})[ \t]*(?:#.*)?", re.DOTALL)
+_BLANK_ROW = re.compile(rb"[ \t]*(?:#.*)?", re.DOTALL)
+
+
+def _line_parser(text):
+    """The graph file format as a reference, one line of ``text``'s bytes at
+    a time: the graph, or the number of the first bad line (0 when no line
+    is significant, so that the vertex count is undefined)."""
+    n, edges = None, []
+    for lineno, line in enumerate(_as_bytes(text).splitlines(), start=1):
+        head, edge = _N_ROW.fullmatch(line), _EDGE_ROW.fullmatch(line)
+        if _BLANK_ROW.fullmatch(line):
+            continue
+        if head and n is None and not edges and int(head[1]) <= 1_000_000:
+            n = int(head[1])
+        elif edge and max(int(edge[1]), int(edge[2])) < (1_000_000 if n is None else n):
+            edges.append((int(edge[1]), int(edge[2])))
+        else:
+            return lineno
+    if n is None and not edges:
+        return 0
+    return Digraph(1 + max(map(max, edges)) if n is None else n, edges)
+
+
+def _outcome(text):
+    """``load_graph(text)``, or the line number its error names (0 for none)."""
     try:
-        return parse(text)
+        return load_graph(text)
     except GraphFormatError as exc:
-        return str(exc)
+        number = re.match(r"line (\d+): ", str(exc))
+        return int(number[1]) if number else 0
 
 
 def _bulk_graph(text):
     """The graph that the byte parser reads from ``text``, or None where it
-    leaves the text to the line parser."""
-    parsed = _parse_bytes(text.encode("ascii")) if text.isascii() else None
+    declines it."""
+    parsed = _parse_bytes(_as_bytes(text))
     return None if parsed is None else _array_digraph(*parsed)
 
 
 @given(_graph_texts())
+@example("1_0 0\n")  # each newly refused token, alone in a text
+@example("+1 0\n")
+@example("٣ 0\n")
+@example("0\xa01\n")
+@example("0 1\v1 0\n")
+@example("0000000000000000000001 2\n")
+@example("0 1 # \x1c 1 2\n")  # comment bytes that once ended a line
+@example(b"0 1 # \xff\n")  # and bytes that are not UTF-8
+@example("n=3\r0 1\r1 2\r")  # lone \r line ends
 @settings(max_examples=1500, deadline=None)
 def test_bulk_parse_matches_the_line_parser(text):
-    expected = _outcome(_load_lines, text)
-    assert _outcome(load_graph, text) == expected
-    bulk = _bulk_graph(text)
-    if bulk is not None:
-        assert bulk == expected
+    """``load_graph`` reads what the reference reads and names the line
+    that it names: so ``_first_error`` finds a bad line in every text that
+    the byte parser declines."""
+    expected = _line_parser(text)
+    assert _outcome(text) == expected
+    assert (_bulk_graph(text) is None) == (not isinstance(expected, Digraph))
     if isinstance(expected, Digraph):
-        _assert_is_the_public_graph(expected)
+        _assert_is_the_public_graph(load_graph(text))
 
 
 @given(_graph_texts(), st.integers(1, 12))
 @settings(max_examples=300, deadline=None)
 def test_chunks_cut_at_any_line_end_parse_alike(text, chunk):
     """The byte parser's steps end at line ends past each multiple of
-    ``_CHUNK`` bytes; with steps of a line or two it reads what it reads in one."""
-    expected = _bulk_graph(text)
+    ``_CHUNK`` bytes; with steps of a byte to a line or two it reads what it
+    reads in one, and an error names the same line."""
+    expected = _outcome(text)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(digraph, "_CHUNK", chunk)
-        assert _bulk_graph(text) == expected
+        assert _outcome(text) == expected
 
 
 def _assert_is_the_public_graph(d):
@@ -180,10 +230,14 @@ def _assert_is_the_public_graph(d):
         "n=4\n",
         "n=1000000\n999999 0\n",
         "\t007 1 \n",
+        "n=3\r0 1\r2 1\r",
+        b"0 1 # \xff\xfe\n# \xc3\n1 0\n",
+        "000000000000000009 1\n",
     ],
 )
 def test_well_formed_texts_take_the_bulk_path(text):
-    assert _bulk_graph(text) == _load_lines(text)
+    assert isinstance(_line_parser(text), Digraph)
+    assert _bulk_graph(text) == _line_parser(text)
 
 
 @pytest.mark.parametrize(
@@ -216,6 +270,32 @@ def test_out_of_range_files_still_raise(text, message):
     assert str(exc.value) == message
 
 
+# The messages of test_load_errors and test_out_of_range_files_still_raise,
+# in full: a str and its UTF-8 bytes get the same one.
+_REFUSALS = [
+    ("0 1 2\n", "line 1: expected 'origin endpoint', got '0 1 2'"),
+    ("a b\n", "line 1: vertex indices must be integers"),
+    ("n=2\n0 5\n", "line 2: vertex index 5 out of range for n=2"),
+    ("0 1\nn=3\n", "line 2: n= is only allowed as the first significant line"),
+    ("", "no n= line and no edges: vertex count is undefined"),
+    ("-1 0\n", "line 1: vertex indices must be nonnegative"),
+    ("n=1000001\n", "line 1: n=1000001 exceeds the limit of 1000000 vertices"),
+    ("0 1000000\n", "line 1: vertex index 1000000 exceeds the limit of 1000000 vertices"),
+    ("n=2\n0 2\n", "line 2: vertex index 2 out of range for n=2"),
+    ("n=3\n1 0\n7 1\n", "line 3: vertex index 7 out of range for n=3"),
+    ("n=0\n0 0\n", "line 2: vertex index 0 out of range for n=0"),
+    ("0 1\n1000000 1\n", "line 2: vertex index 1000000 exceeds the limit of 1000000 vertices"),
+]
+
+
+@pytest.mark.parametrize("text,message", _REFUSALS)
+@pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+def test_refusal_messages_are_the_same_for_str_and_bytes(text, message, as_bytes):
+    with pytest.raises(GraphFormatError) as exc:
+        load_graph(text.encode() if as_bytes else text)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -224,11 +304,12 @@ def test_out_of_range_files_still_raise(text, message):
     ],
 )
 def test_other_line_breaks_go_to_the_line_parser(text):
-    """``str.splitlines`` also breaks lines at a lone \\r, \\v, \\f and
-    \\x1c-\\x1e, so the byte parser leaves them, in a comment or not, to
-    the line parser."""
-    assert _bulk_graph(text) is None
-    assert _outcome(load_graph, text) == _outcome(_load_lines, text)
+    """A lone \\r ends a line as \\n does, and \\v, \\f, \\x1c and NUL are
+    comment bytes like any other: ``load_graph`` reads these texts as the
+    reference line parser does, so ``0\\r1`` is two bad lines and the
+    others are well formed."""
+    assert _outcome(text) == _line_parser(text)
+    assert (_bulk_graph(text) is None) == (text == "0\r1\n")
 
 
 def test_load_graph_memory_is_the_graph_and_little_more():

@@ -505,8 +505,9 @@ def test_a_kept_graph_is_analyzed_once_and_searched_once_per_part_choice(monkeyp
 @pytest.mark.parametrize("case", ["sample", "full-flexible", "edges-flexible", "full-rigid"])
 def test_maps_on_a_parsed_graph_leave_its_edge_tuples_unbuilt(case):
     """A parsed graph holds only its edge array, and its spanning forests
-    read that array: a sample and the inverse bijection maps on a parsed
-    even cycle, which is bipartite, build no edge tuple."""
+    read that array: a sample, the inverse bijection maps and
+    ``potential_to_edges`` on a parsed even cycle, which is bipartite, build
+    no edge tuple."""
     n = 10_000
     d, g = load_graph("".join(f"{v} {(v + 1) % n}\n" for v in range(n))), make_group("symmetric:3")
     if case == "sample":
@@ -516,10 +517,7 @@ def test_maps_on_a_parsed_graph_leave_its_edge_tuples_unbuilt(case):
         assert pair_to_full_bipartite(g, d, *full_to_pair(g, d, h)) == h
     elif case == "edges-flexible":
         f = sample_uniform(g, d, EDGES, FLEXIBLE, 2)
-        p = edges_to_potential(g, d, f)
-        assert "edges" not in d.__dict__
-        assert potential_to_edges(g, d, p) == f  # this map reads the edge tuples
-        return
+        assert potential_to_edges(g, d, edges_to_potential(g, d, f)) == f
     else:
         h = sample_uniform(g, d, FULL, RIGID, 3)
         assert pair_to_full_rigid(g, d, *full_to_pair_rigid(g, d, h)) == h
