@@ -56,11 +56,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-# A graph file is read whole and parsed from its bytes.  The parse keeps the
-# file, some megabytes of temporaries per 64 KiB step and the int32 edge
-# array, 8 bytes per edge, so what bounds its memory is the file's length;
-# and an endless file such as /dev/zero would never end.  So the length is
-# capped: 32 MiB holds 2.4 million edges between six-digit vertex indices.
+# A graph file is read whole and parsed from its bytes.  The parse holds the
+# file, the temporaries of one 64 KiB step and the int32 edge array, 8 bytes
+# per edge, so the file's length bounds its memory, and an endless file such
+# as /dev/zero would be read forever.  So the length is capped: 32 MiB holds
+# 2.4 million edges between six-digit vertex indices.
 GRAPH_FILE_LIMIT = 32 * 2**20
 
 

@@ -85,14 +85,14 @@ _INDICES = (
     st.sampled_from([*map(str, range(13))] * 3 + ["007", "999999", "1000000", "18446744073709551617"]),
     st.sampled_from(["-1", "+1", "1_0", "٣", "１", "x", "1.0", "0000000000000000000001"]),
 )
-_GAPS = (st.sampled_from([" ", "\t", "  ", " \t "]), st.sampled_from(["\xa0", "\x1f", " ", "\v", "\f"]))
+_GAPS = (st.sampled_from([" ", "\t", "  ", " \t "]), st.sampled_from(["\xa0", "\x1f", "\u2003", "\v", "\f"]))
 _PADS = (st.sampled_from(["", " ", "\t"]), st.sampled_from(["\xa0", "\x0c", "\x1c"]))
 _COMMENTS = (
     st.sampled_from(["", "# c", "#", "# n=3", "# 1 2 3", "#\t#", "#\x85 5 6", "# \x1c 1 2", "#\v 3 4", "#\x00",
                      "# \udcff 7 8", "#\udc80"]),
-    st.sampled_from(["# \r 4", "\r# c", "#   9"]),
+    st.sampled_from(["# \r 4", "\r# c", "# \u2028 9"]),
 )
-_ENDS = (st.sampled_from(["\n", "\r\n", "\r"]), st.sampled_from(["\x0b", "\x85", " ", " "]))
+_ENDS = (st.sampled_from(["\n", "\r\n", "\r"]), st.sampled_from(["\x0b", "\x85", "\u2029", " "]))
 _N_VALUES = (st.sampled_from(["0", "5", "13", "1000000"]),
              st.sampled_from(["1000001", "٣", "-1", "00000000000000000005"]))
 _ODD_LINES = st.sampled_from(["1", "1 2 3", "n", "n=", "= 3", "a b", "0 1 # 2 \x85 3", "\udcff"])
@@ -148,9 +148,9 @@ def _line_parser(text):
     is significant, so that the vertex count is undefined)."""
     n, edges = None, []
     for lineno, line in enumerate(_as_bytes(text).splitlines(), start=1):
-        head, edge = _N_ROW.fullmatch(line), _EDGE_ROW.fullmatch(line)
         if _BLANK_ROW.fullmatch(line):
             continue
+        head, edge = _N_ROW.fullmatch(line), _EDGE_ROW.fullmatch(line)
         if head and n is None and not edges and int(head[1]) <= 1_000_000:
             n = int(head[1])
         elif edge and max(int(edge[1]), int(edge[2])) < (1_000_000 if n is None else n):
