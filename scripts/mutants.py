@@ -158,6 +158,22 @@ MUTANTS = (
         "the byte parser reads a lone \\r as a blank, not as a line end, and declines two edges split by one",
         ("tests/test_digraph.py::test_bulk_parse_matches_the_line_parser",),
     ),
+    Mutant(
+        "weak-search-parity-flipped",
+        "digraph.py",
+        "depth[tails] % 2 == depth[heads] % 2",
+        "depth[tails] % 2 != depth[heads] % 2",
+        "the array analyze calls a graph bipartite when every edge joins two depths of one parity",
+        ("tests/test_digraph.py::test_the_weak_search_reads_bipartiteness_off_its_depths",),
+    ),
+    Mutant(
+        "weak-search-ignores-loops",
+        "digraph.py",
+        "bipartite = True, bool(distinct.all()) and not",
+        "bipartite = True, not",
+        "the array analyze forgets that a loop makes a graph non-bipartite",
+        ("tests/test_digraph.py::test_the_weak_search_reads_bipartiteness_off_its_depths",),
+    ),
 )
 
 

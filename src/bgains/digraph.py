@@ -11,18 +11,23 @@ decomposition (component count and number of cross-component edges).
 same report.  Below ``_ARRAY_EDGES`` edges it runs Tarjan's algorithm and
 ``_spanning_forest`` over Python lists.  That forest is the library's one
 breadth-first search: the enumeration frames take their trees from it too.
-From there on ``analyze`` works on the edge arrays of ``_edge_ends``: weak
-components and bipartiteness come from one hook-and-jump connectivity pass
-(Shiloach and Vishkin) over the bipartite double cover.  The strongly
-connected components come from ``_strong_arrays`` in three steps: rounds
-that trim vertices without an in-edge or without an out-edge, each a
-component of its own (McLendon, Hendrickson, Plimpton and Rauchwerger,
-2005); one forward-backward search, whose forward and backward reach from
-one vertex meet in its component (Fleischer, Hendrickson and Pinar, 2000);
-and Tarjan's loop over what is left.  Each step removes whole components,
-and that leaves every other component as it was.  The first two run in
-rounds over sorted edge arrays, up to fixed round bounds, so a long path or
-a long chain of small components still ends in Tarjan's loop.
+From there on ``analyze`` works on the edge arrays of ``_edge_ends``.  It
+builds the out- and in-adjacency of the edges that are not loops once, and
+one frontier search, ``_reach``, runs over them in rounds up to a fixed
+bound.  Its search from vertex 0 over both gives weak connectivity and
+bipartiteness: when it reaches every vertex the graph is connected, and it
+is bipartite when it has no loop and no edge joins two depths of one
+parity.  When the search gives up or leaves a vertex out, both facts come
+from the forest, as on the Python path.  The strongly connected components
+come from ``_strong_arrays`` in three steps: rounds that trim vertices
+without an in-edge or without an out-edge, each a component of its own
+(McLendon, Hendrickson, Plimpton and Rauchwerger, 2005); one
+forward-backward search, whose forward and backward reach from one vertex
+meet in its component (Fleischer, Hendrickson and Pinar, 2000); and
+Tarjan's loop over what is left.  Each step removes whole components, and
+that leaves every other component as it was.  The first two run in rounds
+up to fixed round bounds, so a long path or a long chain of small
+components still ends in Tarjan's loop, and a deep graph in the forest.
 The arrays cost a fixed overhead per call, several times the whole Python
 path on a graph of a few edges, and pay off only from some thousands of
 edges on; so small graphs, which the oracle checks analyze by the
@@ -47,10 +52,10 @@ other byte.  ``load_graph`` reads a ``str`` as its UTF-8 bytes.
 in chunks cut at line ends: character classes by comparison, the digit runs
 and the line of each run, and the integers, straight into the int32 edge
 array.  Only a file that it declines goes on to ``_first_error``, which
-names the first bad line by its number and builds no graph.  A parsed
-graph holds only that array; its ``edges`` tuple is built when first read,
-and the counts, ``analyze`` above ``_ARRAY_EDGES`` edges and the frames
-read the array alone.
+reads it from the step that was declined, names the first bad line by its
+number and builds no graph.  A parsed graph holds only that array; its
+``edges`` tuple is built when first read, and the counts, ``analyze`` above
+``_ARRAY_EDGES`` edges and the frames read the array alone.
 
 The constructor checks every edge.  Only the byte parser's builder,
 ``_array_digraph``, skips it, since the byte parser has checked every entry
@@ -63,7 +68,7 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -155,16 +160,15 @@ class StructureReport:
 # naming a huge vertex count would exhaust memory before any other check.
 _VERTEX_LIMIT = 1_000_000
 
-# A line end: \n, \r\n (read as a line end and an empty line) or a lone \r,
-# the breaks of bytes.splitlines.
-_LINE_END = re.compile(rb"[\r\n]")
+# A line end, as bytes.splitlines reads it: \r\n, a lone \r or \n.
+_LINE_END = re.compile(rb"\r\n?|\n")
 
 # A well-formed significant line with its comment cut off and its spaces and
 # tabs stripped: an n= line or an edge.  A number has at most 18 digits,
 # which fit in an int64.
 _LINE = re.compile(rb"(?:n[ \t]*=[ \t]*|[0-9]{1,18}[ \t]+)[0-9]{1,18}")
 
-# Bytes per step of the byte parser, which cuts the text at the first line
+# Bytes per step of the byte parser, which cuts the text after the first line
 # end past each multiple of this: its temporaries, a few bytes per byte of
 # the step, stay within some megabytes whatever the length of the text.
 _CHUNK = 2**16
@@ -175,14 +179,26 @@ def load_graph(text: str | bytes) -> Digraph:
     bytes or as a str, which is read as its UTF-8 bytes."""
     data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
     parsed = _parse_bytes(data)
-    if parsed is None:
-        raise _first_error(data)
+    if isinstance(parsed, _Declined):
+        raise _first_error(data, parsed)
     return _array_digraph(*parsed)
 
 
-def _parse_bytes(data: bytes) -> tuple[int, np.ndarray] | None:
+class _Declined(NamedTuple):
+    """Where ``_parse_bytes`` declined a graph file: the offset of the step
+    that it declined, which starts a line, and its n= state before that
+    step, the declared vertex count and whether a significant line came
+    first."""
+
+    offset: int
+    n_declared: int | None
+    seen: bool
+
+
+def _parse_bytes(data: bytes) -> tuple[int, np.ndarray] | _Declined:
     """The vertex count and the (2, E) int32 edge array of a well-formed
-    graph file, or None for ``_first_error`` to name its first bad line.
+    graph file, or where it declined the file, for ``_first_error`` to name
+    its first bad line.
 
     The file is well formed when, with comments cut off, it holds ASCII
     digits, spaces, tabs and line ends, its first significant line is an
@@ -192,6 +208,7 @@ def _parse_bytes(data: bytes) -> tuple[int, np.ndarray] | None:
     n_declared, seen, top, parts = None, False, -1, [np.empty((2, 0), np.int32)]
     start = 0
     while start < len(data):
+        step = _Declined(start, n_declared, seen)
         cut = _LINE_END.search(data, start + _CHUNK)
         b = np.frombuffer(data, np.uint8, (cut.end() if cut else len(data)) - start, start)
         start += len(b)
@@ -215,13 +232,13 @@ def _parse_bytes(data: bytes) -> tuple[int, np.ndarray] | None:
                 end = np.append(line_ends, len(b))[np.searchsorted(line_ends, first)]
                 head = bytes(b[first:end]).partition(b"#")[0].rstrip(b" \t")
                 if not _LINE.fullmatch(head):
-                    return None
+                    return step
                 n_declared = int(head.partition(b"=")[2])
                 if n_declared > _VERTEX_LIMIT:
-                    return None
+                    return step
                 blank[first:end], digit[first:end] = True, False
         if not np.all(blank | digit):
-            return None
+            return step
         # The digit runs start and stop where ``digit`` flips.  Each line
         # holds none or two, and each run has at most 18 digits.
         flips = np.flatnonzero(np.diff(digit, prepend=False, append=False))
@@ -229,30 +246,36 @@ def _parse_bytes(data: bytes) -> tuple[int, np.ndarray] | None:
         line = np.searchsorted(line_ends, runs)
         paired = len(runs) % 2 == 0 and np.all(line[::2] == line[1::2]) and np.all(line[2::2] != line[1:-1:2])
         if not paired or np.any(width > 18):
-            return None
+            return step
         values = np.zeros(len(runs), dtype=np.int64)
         for j in range(int(width.max(initial=0))):
             values = np.where(width > j, values * 10 + b[np.minimum(runs + j, len(b) - 1)] - 48, values)
         top = max(top, int(values.max(initial=-1)))
         if top >= (_VERTEX_LIMIT if n_declared is None else n_declared):
-            return None
+            return step
         parts.append(values.reshape(-1, 2).T.astype(np.int32, order="C"))
     if not seen:
-        return None
+        return _Declined(len(data), None, False)
     return top + 1 if n_declared is None else n_declared, np.concatenate(parts, axis=1)
 
 
-def _first_error(data: bytes) -> GraphFormatError:
+def _first_error(data: bytes, declined: _Declined) -> GraphFormatError:
     """The error that names the first bad line of a graph file that
-    ``_parse_bytes`` declined, or says that no line is significant.
+    ``_parse_bytes`` declined, or says that no line is significant.  The
+    lines before the declined step were good: the scan starts at that step,
+    with its n= state, and numbers its lines after the line ends before it.
 
     Each line is read first as text: split at any whitespace, its numbers
     read by ``int``.  So a line at fault for its fields, its integers or
-    their range gets the message that names that fault.  A line that passes
-    must still match ``_LINE``, the format's ASCII digits, spaces and tabs.
+    their range gets the message that names that fault.  A line that passes,
+    or holds no field (only whitespace such as ``\\f`` or U+00A0 that is not
+    a space or a tab), must still match ``_LINE``, the format's ASCII digits,
+    spaces and tabs.
     """
-    n_declared, seen = None, False
-    for lineno, raw in enumerate(data.splitlines(), start=1):
+    start, n_declared, seen = declined
+    # No step ends between the \r and the \n of a line end.
+    before = data.count(b"\n", 0, start) + data.count(b"\r", 0, start) - data.count(b"\r\n", 0, start)
+    for lineno, raw in enumerate(data[start:].splitlines(), start=before + 1):
         line = raw.partition(b"#")[0].strip(b" \t")
         if not line:
             continue
@@ -266,8 +289,7 @@ def _first_error(data: bytes) -> GraphFormatError:
                 return GraphFormatError(
                     f"line {lineno}: n={n_declared} exceeds the limit of {_VERTEX_LIMIT} vertices"
                 )
-        else:
-            fields = text.split()
+        elif fields := text.split():
             if len(fields) != 2:
                 return GraphFormatError(f"line {lineno}: expected 'origin endpoint', got {text.strip()!r}")
             try:
@@ -322,9 +344,7 @@ def _breadth_first_forest(d: Digraph, part: Sequence[int] | None) -> tuple[tuple
     ``backwards``), and whether each vertex lies at odd depth.
     """
     incident: list[list[tuple[int, int, bool]]] = [[] for _ in range(d.n_vertices)]
-    # A parsed graph's edge tuples stay unbuilt: read its array's rows instead.
-    edges = d.edges if "edges" in d.__dict__ else zip(*_edge_ends(d).tolist())
-    for e, (u, w) in enumerate(edges):
+    for e, (u, w) in enumerate(_edge_pairs(d)):
         if part is None or part[u] == part[w]:
             incident[u].append((e, w, False))
             incident[w].append((e, u, True))
@@ -343,11 +363,26 @@ def _breadth_first_forest(d: Digraph, part: Sequence[int] | None) -> tuple[tuple
     return tuple(tree), tuple(odd)
 
 
+def _weak_facts(d: Digraph) -> tuple[bool, bool]:
+    """Weak connectivity and bipartiteness, read off ``_spanning_forest``:
+    it has one tree per weak component, and adjacent depths differ by at
+    most one, so an edge within one depth parity (a loop included) closes
+    an odd cycle."""
+    tree, odd = _spanning_forest(d)
+    return len(tree) >= d.n_vertices - 1, all(odd[u] != odd[w] for u, w in _edge_pairs(d))
+
+
+def _edge_pairs(d: Digraph) -> Iterable[tuple[int, int]]:
+    """The (origin, endpoint) pairs in edge order.  A parsed graph's edge
+    tuples stay unbuilt: its array's rows are read instead."""
+    return d.edges if "edges" in d.__dict__ else zip(*_edge_ends(d).tolist())
+
+
 def _edge_ends(d: Digraph) -> np.ndarray:
     """Origins and endpoints, the two rows of a read-only array; kept on ``d``.
-    int32 below 2**30 vertices, where the double cover's nodes, up to 2n - 1, fit."""
+    int32 below 2**31 vertices, where every vertex fits."""
     if "_ends" not in d.__dict__:
-        dtype = np.int32 if d.n_vertices < 2**30 else np.int64
+        dtype = np.int32 if d.n_vertices < 2**31 else np.int64
         ends = np.fromiter(itertools.chain.from_iterable(d.edges), dtype, 2 * d.n_edges).reshape(-1, 2).T.copy()
         ends.flags.writeable = False
         d.__dict__["_ends"] = ends
@@ -404,50 +439,18 @@ def _strong_components(succ: list[list[int]]) -> tuple[list[int], int]:
     return comp, n_comps
 
 
-def _weak_arrays(n: int, origins: np.ndarray, ends: np.ndarray) -> tuple[bool, bool]:
-    """Weak connectivity and bipartiteness by hook-and-jump connectivity
-    (Shiloach and Vishkin) over the bipartite double cover: node ``v`` is
-    vertex ``v`` on side 0, node ``v + n`` the same vertex on side 1, and an
-    edge u -> w joins ``(u, w + n)`` and ``(u + n, w)``.
-
-    A vertex's two nodes share a component exactly when an odd closed walk
-    passes through it, and each weak component of the graph is one
-    component of the cover or, if bipartite, two that swap the sides.
-
-    Every node points at a root no larger than itself.  In each round every
-    root hooks onto the smallest root it shares an edge with, then pointers
-    jump until each points at a root.  A root that neither hooks nor is
-    hooked onto has only larger neighbours, and each of them hooked onto a
-    root smaller than this one; so this one hooks in the next round, every
-    two rounds at least halve the roots of a component, and there are
-    O(log n) rounds.
-    """
-    a = np.concatenate((origins, origins + n))
-    b = np.concatenate((ends + n, ends))
-    root = np.arange(2 * n, dtype=origins.dtype)
-    while True:
-        ra, rb = root[a], root[b]
-        split = np.flatnonzero(ra != rb)
-        if not len(split):
-            break
-        a, b, ra, rb = a[split], b[split], ra[split], rb[split]  # joined edges stay joined
-        np.minimum.at(root, ra, rb)
-        np.minimum.at(root, rb, ra)
-        while True:
-            jumped = root[root]
-            if np.array_equal(jumped, root):
-                break
-            root = jumped
-    side0, side1 = root[:n], root[n:]
-    lowest = np.minimum(side0, side1)  # one value per weak component
-    return not np.any(lowest != lowest[:1]), not np.any(side0 == side1)
+# A vertex's edges: ``offsets`` and ``targets``, as ``_adjacency`` builds them.
+_Adjacency = tuple[np.ndarray, np.ndarray]
 
 
-def _strong_arrays(n: int, origins: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, int]:
+def _strong_arrays(
+    out_edges: _Adjacency, in_edges: _Adjacency, tails: np.ndarray, heads: np.ndarray
+) -> tuple[np.ndarray, int]:
     """Vertex -> strongly connected component id, and the number of
-    components.  Three steps give components to the live vertices, those
-    without one yet, over the live edges, those between two live vertices;
-    a loop joins a vertex to no other, so loops are left out from the start.
+    components, over the edges tails -> heads, none of them a loop, and
+    their out- and in-adjacency.  Three steps give components to the live
+    vertices, those without one yet, over the live edges, those between two
+    live vertices.
 
     1. Trim (McLendon, Hendrickson, Plimpton and Rauchwerger, 2005): a live
        vertex without a live in-edge or without a live out-edge lies on no
@@ -457,9 +460,9 @@ def _strong_arrays(n: int, origins: np.ndarray, ends: np.ndarray) -> tuple[np.nd
        round finds none, or after ``_TRIM_ROUNDS`` rounds.
     2. Forward-backward (Fleischer, Hendrickson and Pinar, 2000): of the
        live vertices, those that the smallest one reaches and those that
-       reach it have its component in common.  Each search runs one
-       frontier a round and gives up after ``_REACH_ROUNDS`` rounds, and
-       then this step settles nothing.
+       reach it have its component in common.  Each search is a ``_reach``
+       and gives up after ``_REACH_ROUNDS`` rounds, and then this step
+       settles nothing.
     3. Tarjan's loop, ``_strong_components``, over the live vertices that
        are left, renumbered ``0..k-1``, and the live edges between them.
 
@@ -468,11 +471,9 @@ def _strong_arrays(n: int, origins: np.ndarray, ends: np.ndarray) -> tuple[np.nd
     through it: the components of the live vertices, over the live edges,
     are the graph's own.
     """
-    distinct = origins != ends
-    tails, heads = origins[distinct], ends[distinct]
-    out_edges, in_edges = _adjacency(n, tails, heads), _adjacency(n, heads, tails)
+    n = len(out_edges[0]) - 1
     in_degree, out_degree = np.diff(in_edges[0]), np.diff(out_edges[0])
-    comp = np.empty(n, dtype=origins.dtype)
+    comp = np.empty(n, dtype=tails.dtype)
     live = np.ones(n, dtype=bool)
     n_comps = 0
     alone = np.flatnonzero((in_degree == 0) | (out_degree == 0))
@@ -490,27 +491,27 @@ def _strong_arrays(n: int, origins: np.ndarray, ends: np.ndarray) -> tuple[np.nd
         alone = _distinct(near[(in_degree[near] == 0) | (out_degree[near] == 0)])
     if live.any():
         pivot = int(np.argmax(live))
-        forward = _reach(out_edges, live, pivot)
-        backward = None if forward is None else _reach(in_edges, live, pivot)
+        forward = _reach((out_edges,), live, pivot)
+        backward = None if forward is None else _reach((in_edges,), live, pivot)
         if backward is not None:
-            component = forward & backward
+            component = (forward >= 0) & (backward >= 0)
             comp[component] = n_comps
             n_comps += 1
             live &= ~component
     rest = np.flatnonzero(live)
     if len(rest):
-        local = np.zeros(n, dtype=origins.dtype)
-        local[rest] = np.arange(len(rest), dtype=origins.dtype)
+        local = np.zeros(n, dtype=tails.dtype)
+        local[rest] = np.arange(len(rest), dtype=tails.dtype)
         inside = live[tails] & live[heads]
         succ_offsets, succ = _adjacency(len(rest), local[tails[inside]], local[heads[inside]])
         succ, bounds = succ.tolist(), succ_offsets.tolist()
         comp_rest, k = _strong_components([succ[i:j] for i, j in zip(bounds, bounds[1:])])
-        comp[rest] = np.array(comp_rest, dtype=origins.dtype) + n_comps
+        comp[rest] = np.array(comp_rest, dtype=tails.dtype) + n_comps
         n_comps += k
     return comp, n_comps
 
 
-def _adjacency(n: int, tails: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _adjacency(n: int, tails: np.ndarray, heads: np.ndarray) -> _Adjacency:
     """The edges tails -> heads as ``offsets`` and ``targets``: the heads
     of vertex v's edges are ``targets[offsets[v]:offsets[v + 1]]``, in no
     set order (a stable sort takes several times as long)."""
@@ -519,7 +520,7 @@ def _adjacency(n: int, tails: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray
     return offsets, heads[np.argsort(tails)]
 
 
-def _neighbours(adjacency: tuple[np.ndarray, np.ndarray], vertices: np.ndarray) -> np.ndarray:
+def _neighbours(adjacency: _Adjacency, vertices: np.ndarray) -> np.ndarray:
     """The heads of every edge out of ``vertices``, a gather over one range
     of ``targets`` per vertex."""
     offsets, targets = adjacency
@@ -540,30 +541,37 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[first]
 
 
-def _reach(adjacency: tuple[np.ndarray, np.ndarray], live: np.ndarray, start: int) -> np.ndarray | None:
-    """Which live vertices ``start`` reaches over live edges, as a boolean
-    array, or None if the search needs more than ``_REACH_ROUNDS`` rounds.
+def _reach(adjacencies: tuple[_Adjacency, ...], live: np.ndarray, start: int) -> np.ndarray | None:
+    """A breadth-first search from ``start`` over the live vertices and the
+    edges of ``adjacencies`` between them: the round in which it reaches
+    each vertex, 0 for ``start`` and -1 for a vertex that is not live or not
+    reached, or None if the search needs more than ``_REACH_ROUNDS`` rounds.
     A round reads only the edges out of the last round's new vertices, so
     the rounds together read each edge at most once."""
     seen = ~live
     seen[start] = True
+    depth = np.full(len(live), -1, dtype=np.int32)
+    depth[start] = 0
     frontier = np.array([start])
-    for _ in range(_REACH_ROUNDS):
-        found = _neighbours(adjacency, frontier)
+    for k in range(1, _REACH_ROUNDS + 1):
+        found = np.concatenate([_neighbours(adjacency, frontier) for adjacency in adjacencies])
         frontier = _distinct(found[~seen[found]])
         if not len(frontier):
-            return seen & live
+            return depth
         seen[frontier] = True
+        depth[frontier] = k
     return None
 
 
-# Round bounds of ``_strong_arrays``.  On the large-graph benchmark's graphs
+# Round bounds of the array analyze.  On the large-graph benchmark's graphs
 # (50,000 vertices, 100,000 edges, seeds 301-310) trimming stopped by itself
-# after 10-14 rounds and each search after 25-32; a 101-vertex cycle needs
-# 100.  On 200,000-vertex paths, shuffled paths and chains of 2-cycles and
-# of triangles, which end in Tarjan's loop, these bounds added 0-4 ms against
-# no rounds at all, median of 11 runs, where ``_analyze_arrays`` takes
-# 0.3-0.7 s (Python 3.11, numpy 2.4, a shared 2-core host).
+# after 10-14 rounds, the weak search from vertex 0 after 12-13 and each
+# forward or backward search after 25-32; a 101-vertex cycle needs 100.  On
+# 200,000-vertex paths, shuffled paths and chains of 2-cycles and of
+# triangles, which end in Tarjan's loop, the trim and forward-backward
+# bounds added 0-4 ms against no rounds at all, median of 11 runs, where
+# ``_analyze_arrays`` took 0.3-0.7 s (Python 3.11, numpy 2.4, a shared 2-core
+# host).
 _TRIM_ROUNDS = 32
 _REACH_ROUNDS = 128
 
@@ -590,10 +598,7 @@ def analyze(d: Digraph) -> StructureReport:
         return d.__dict__["_report"]
     if d.n_edges >= _ARRAY_EDGES:
         return d.__dict__.setdefault("_report", _analyze_arrays(d))
-    # One tree per weak component.  Adjacent depths differ by at most one,
-    # so an edge within one depth parity (a loop included) closes an odd cycle.
-    tree, odd = _spanning_forest(d)
-    bipartite = all(odd[u] != odd[w] for u, w in d.edges)
+    connected, bipartite = _weak_facts(d)
     succ: list[list[int]] = [[] for _ in range(d.n_vertices)]
     for u, w in d.edges:
         succ[u].append(w)
@@ -601,7 +606,6 @@ def analyze(d: Digraph) -> StructureReport:
     cross = sum(comp[u] != comp[w] for u, w in d.edges)
     # Relabel component ids by first appearance over vertex index.
     relabel = dict(zip(dict.fromkeys(comp), range(n_comps)))
-    connected = len(tree) >= d.n_vertices - 1
     report = StructureReport(connected, bipartite, n_comps, cross, tuple(map(relabel.__getitem__, comp)))
     return d.__dict__.setdefault("_report", report)
 
@@ -610,8 +614,16 @@ def _analyze_arrays(d: Digraph) -> StructureReport:
     """``analyze`` on numpy arrays."""
     n = d.n_vertices
     origins, ends = _edge_ends(d)
-    weakly_connected, bipartite = _weak_arrays(n, origins, ends)
-    comp, n_comps = _strong_arrays(n, origins, ends)
+    distinct = origins != ends  # a loop joins a vertex to no other
+    tails, heads = origins[distinct], ends[distinct]
+    out_edges, in_edges = _adjacency(n, tails, heads), _adjacency(n, heads, tails)
+    comp, n_comps = _strong_arrays(out_edges, in_edges, tails, heads)
+    depth = _reach((out_edges, in_edges), np.ones(n, dtype=bool), 0) if n else None
+    if depth is not None and depth.min() >= 0:
+        # Breadth-first depths, like the forest's: adjacent ones differ by at most one.
+        weakly_connected, bipartite = True, bool(distinct.all()) and not np.any(depth[tails] % 2 == depth[heads] % 2)
+    else:
+        weakly_connected, bipartite = _weak_facts(d)
     cross = int(np.count_nonzero(comp[origins] != comp[ends]))
     # Relabel component ids by first appearance over vertex index.
     _, first, comp = np.unique(comp, return_index=True, return_inverse=True)

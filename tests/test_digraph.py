@@ -20,6 +20,7 @@ from bgains.digraph import (
     GraphFormatError,
     StructureReport,
     _analyze_arrays,
+    _Declined,
     _array_digraph,
     _edge_ends,
     _parse_bytes,
@@ -175,7 +176,7 @@ def _bulk_graph(text):
     """The graph that the byte parser reads from ``text``, or None where it
     declines it."""
     parsed = _parse_bytes(_as_bytes(text))
-    return None if parsed is None else _array_digraph(*parsed)
+    return None if isinstance(parsed, _Declined) else _array_digraph(*parsed)
 
 
 @given(_graph_texts())
@@ -210,6 +211,31 @@ def test_chunks_cut_at_any_line_end_parse_alike(text, chunk):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(digraph, "_CHUNK", chunk)
         assert _outcome(text) == expected
+
+
+def test_an_error_past_a_step_cut_is_named_by_its_line_in_a_crlf_file(monkeypatch):
+    """``_first_error`` reads only from the step that the byte parser
+    declined, and numbers its lines after the line ends before it, each
+    \\r\\n one.  A cut at the \\r of a \\r\\n takes the \\n into its step:
+    here the first cut lands on the \\r of line 2."""
+    monkeypatch.setattr(digraph, "_CHUNK", 8)
+    data = b"0 1\r\n" * 10 + b"1_0 0\r\n"
+    assert data[8:10] == b"\r\n"
+    declined = _parse_bytes(data)
+    assert declined == _Declined(50, None, True) and data[declined.offset :] == b"1_0 0\r\n"
+    with pytest.raises(GraphFormatError) as exc:
+        load_graph(data)
+    assert str(exc.value) == "line 11: expected numbers of 1 to 18 ASCII digits between spaces or tabs, got '1_0 0'"
+
+
+@pytest.mark.parametrize("line", [b"\f\f", b"\v", "\xa0".encode()], ids=["form-feeds", "vertical-tab", "no-break-space"])
+def test_a_line_of_other_whitespace_is_a_bad_token(line):
+    """Only spaces and tabs are blanks.  A line of other whitespace has no
+    field to count, so it gets the message for bytes outside the format."""
+    with pytest.raises(GraphFormatError) as exc:
+        load_graph(b"0 1\n" + line + b"\n")
+    got = line.decode()
+    assert str(exc.value) == f"line 2: expected numbers of 1 to 18 ASCII digits between spaces or tabs, got {got!r}"
 
 
 def _assert_is_the_public_graph(d):
@@ -472,9 +498,9 @@ def test_two_cycles_bridged():
 )
 def test_analyze_deep_graphs(closed, permuted):
     """A 200,000-vertex directed path or cycle, in vertex order or with
-    shuffled labels: the searches run as deep as the graph without
-    recursion, and hook-and-jump connects it in few rounds whatever the
-    labels."""
+    shuffled labels: every array search gives up at its round bound, and
+    Tarjan's loop and the spanning forest, which run without recursion, go
+    as deep as the graph."""
     n = 200_000
     label = list(range(n))
     if permuted:
@@ -771,6 +797,72 @@ def test_bench_style_and_kept_graphs_need_no_tarjan(tarjan_sizes):
         report = _analyze_arrays(d)
         assert report.scc_count < d.n_vertices
         assert tarjan_sizes == []
+
+
+def test_bench_style_and_kept_graphs_need_no_forest():
+    """The weak search from vertex 0 reaches every vertex within its round
+    bound, so the depths it finds give bipartiteness and no spanning forest
+    is built."""
+    for d in (_bench_style_graph(0), kept_graph("large")):
+        assert _analyze_arrays(d).weakly_connected
+        assert "_forest" not in d.__dict__
+
+
+def _tree_and(extra: str) -> Digraph:
+    """A random tree of 10,000 vertices, each hung off a smaller one, under
+    random orientations, and a loop or a chord that closes a triangle."""
+    rng = random.Random(32)
+    n = 10_000
+    parent = [0] + [rng.randrange(v) for v in range(1, n)]
+    edges = [(parent[v], v) if rng.random() < 0.5 else (v, parent[v]) for v in range(1, n)]
+    v = n - 1
+    edges += {"tree": [], "loop": [(v, v)], "triangle": [(parent[parent[v]], v)]}[extra]
+    return Digraph(n, tuple(edges))
+
+
+@pytest.mark.parametrize("extra", ["tree", "loop", "triangle"])
+def test_the_weak_search_reads_bipartiteness_off_its_depths(extra):
+    """A shallow connected graph above the cut is bipartite exactly when it
+    has no loop and no edge joins two depths of one parity."""
+    d = _tree_and(extra)
+    assert d.n_edges >= _ARRAY_EDGES
+    report = _analyze_arrays(d)
+    assert "_forest" not in d.__dict__
+    assert report.bipartite == (extra == "tree")
+    assert report == _networkx_report(d)
+
+
+def _deep_graphs():
+    n = 200_000
+    path = tuple((v, v + 1) for v in range(n - 1))
+    yield pytest.param(Digraph(n, path + ((n - 1, n - 1),)), id="path-and-a-loop")
+    yield pytest.param(Digraph(n + 3, path + ((n, n + 1), (n + 1, n + 2), (n + 2, n))), id="path-and-a-triangle")
+
+
+@pytest.mark.parametrize("d", _deep_graphs())
+def test_deep_graphs_take_their_weak_facts_from_the_forest(d):
+    """The weak search gives up at its round bound, and the forest that
+    the Python path reads gives connectivity and bipartiteness."""
+    assert _analyze_arrays(d) == _networkx_report(d)
+    assert "_forest" in d.__dict__
+
+
+def test_zero_vertices_above_the_cut_take_the_forest(monkeypatch):
+    """With no vertex the weak search has no start: the forest answers."""
+    monkeypatch.setattr(digraph, "_ARRAY_EDGES", 0)
+    d = Digraph(0, ())
+    assert analyze(d) == StructureReport(True, True, 0, 0, ())
+    assert "_forest" in d.__dict__
+
+
+def test_a_deep_parsed_graph_is_analyzed_without_its_edge_tuples():
+    """The forest and the bipartiteness check read a parsed graph's edge
+    array, as the rest of the array path does."""
+    n = 200_000
+    d = load_graph("".join(f"{v} {v + 1}\n" for v in range(n - 1)) + f"{n - 1} {n - 1}\n")
+    report = analyze(d)
+    assert (report.weakly_connected, report.bipartite, report.scc_count, report.cross_scc_edges) == (True, False, n, n - 1)
+    assert "_forest" in d.__dict__ and "edges" not in d.__dict__
 
 
 def test_a_long_path_falls_back_to_tarjan(tarjan_sizes):
