@@ -343,7 +343,7 @@ def _breadth_first_forest(d: Digraph, part: Sequence[int] | None) -> tuple[tuple
     order (u was reached before w; edge e joins them, running w -> u when
     ``backwards``), and whether each vertex lies at odd depth.
     """
-    incident: list[list[tuple[int, int, bool]]] = [[] for _ in range(d.n_vertices)]
+    incident: list[list[tuple[int, int, bool]] | None] = [[] for _ in range(d.n_vertices)]
     for e, (u, w) in enumerate(_edge_pairs(d)):
         if part is None or part[u] == part[w]:
             incident[u].append((e, w, False))
@@ -360,6 +360,7 @@ def _breadth_first_forest(d: Digraph, part: Sequence[int] | None) -> tuple[tuple
                         odd[w] = not odd[u]
                         tree.append((e, u, w, backwards))
                         queue.append(w)
+                incident[u] = None  # read once: free it while the tree grows
     return tuple(tree), tuple(odd)
 
 
@@ -439,18 +440,12 @@ def _strong_components(succ: list[list[int]]) -> tuple[list[int], int]:
     return comp, n_comps
 
 
-# A vertex's edges: ``offsets`` and ``targets``, as ``_adjacency`` builds them.
-_Adjacency = tuple[np.ndarray, np.ndarray]
-
-
-def _strong_arrays(
-    out_edges: _Adjacency, in_edges: _Adjacency, tails: np.ndarray, heads: np.ndarray
-) -> tuple[np.ndarray, int]:
+def _strong_arrays(out_edges: tuple, in_edges: tuple, tails: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, int]:
     """Vertex -> strongly connected component id, and the number of
     components, over the edges tails -> heads, none of them a loop, and
-    their out- and in-adjacency.  Three steps give components to the live
-    vertices, those without one yet, over the live edges, those between two
-    live vertices.
+    their out- and in-adjacency from ``_adjacency``.  Three steps give
+    components to the live vertices, those without one yet, over the live
+    edges, those between two live vertices.
 
     1. Trim (McLendon, Hendrickson, Plimpton and Rauchwerger, 2005): a live
        vertex without a live in-edge or without a live out-edge lies on no
@@ -511,7 +506,7 @@ def _strong_arrays(
     return comp, n_comps
 
 
-def _adjacency(n: int, tails: np.ndarray, heads: np.ndarray) -> _Adjacency:
+def _adjacency(n: int, tails: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The edges tails -> heads as ``offsets`` and ``targets``: the heads
     of vertex v's edges are ``targets[offsets[v]:offsets[v + 1]]``, in no
     set order (a stable sort takes several times as long)."""
@@ -520,7 +515,7 @@ def _adjacency(n: int, tails: np.ndarray, heads: np.ndarray) -> _Adjacency:
     return offsets, heads[np.argsort(tails)]
 
 
-def _neighbours(adjacency: _Adjacency, vertices: np.ndarray) -> np.ndarray:
+def _neighbours(adjacency: tuple[np.ndarray, np.ndarray], vertices: np.ndarray) -> np.ndarray:
     """The heads of every edge out of ``vertices``, a gather over one range
     of ``targets`` per vertex."""
     offsets, targets = adjacency
@@ -541,11 +536,12 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[first]
 
 
-def _reach(adjacencies: tuple[_Adjacency, ...], live: np.ndarray, start: int) -> np.ndarray | None:
+def _reach(adjacencies: tuple, live: np.ndarray, start: int) -> np.ndarray | None:
     """A breadth-first search from ``start`` over the live vertices and the
-    edges of ``adjacencies`` between them: the round in which it reaches
-    each vertex, 0 for ``start`` and -1 for a vertex that is not live or not
-    reached, or None if the search needs more than ``_REACH_ROUNDS`` rounds.
+    edges between them of ``adjacencies``, each built by ``_adjacency``:
+    the round in which it reaches each vertex, 0 for ``start`` and -1 for a
+    vertex that is not live or not reached, or None if the search needs
+    more than ``_REACH_ROUNDS`` rounds.
     A round reads only the edges out of the last round's new vertices, so
     the rounds together read each edge at most once."""
     seen = ~live
