@@ -10,7 +10,7 @@ decomposition (component count and number of cross-component edges).
 ``analyze`` takes one of two paths, chosen by edge count, and both give the
 same report.  Below ``_ARRAY_EDGES`` edges it runs Tarjan's algorithm and
 ``_spanning_forest`` over Python lists.  That forest is the library's one
-breadth-first search: the enumeration frames take their trees from it too.
+spanning forest: the enumeration frames take their trees from it too.
 From there on ``analyze`` works on the edge arrays of ``_edge_ends``.  It
 builds the out- and in-adjacency of the edges that are not loops once, and
 one frontier search, ``_reach``, runs over them in rounds up to a fixed

@@ -832,17 +832,17 @@ def test_the_weak_search_reads_bipartiteness_off_its_depths(extra):
     assert report == _networkx_report(d)
 
 
-def _deep_graphs():
+@pytest.mark.parametrize("extra", ["loop", "triangle"])
+def test_deep_graphs_take_their_weak_facts_from_the_forest(extra):
+    """A 200,000-vertex path with a loop at its end, or beside a triangle:
+    the weak search gives up at its round bound, and the forest that the
+    Python path reads gives connectivity and bipartiteness."""
     n = 200_000
     path = tuple((v, v + 1) for v in range(n - 1))
-    yield pytest.param(Digraph(n, path + ((n - 1, n - 1),)), id="path-and-a-loop")
-    yield pytest.param(Digraph(n + 3, path + ((n, n + 1), (n + 1, n + 2), (n + 2, n))), id="path-and-a-triangle")
-
-
-@pytest.mark.parametrize("d", _deep_graphs())
-def test_deep_graphs_take_their_weak_facts_from_the_forest(d):
-    """The weak search gives up at its round bound, and the forest that
-    the Python path reads gives connectivity and bipartiteness."""
+    if extra == "loop":
+        d = Digraph(n, path + ((n - 1, n - 1),))
+    else:
+        d = Digraph(n + 3, path + ((n, n + 1), (n + 1, n + 2), (n + 2, n)))
     assert _analyze_arrays(d) == _networkx_report(d)
     assert "_forest" in d.__dict__
 
