@@ -135,6 +135,22 @@ MUTANTS = (
         ("tests/test_enumeration.py::test_rigid_pair_roundtrip_random",),
     ),
     Mutant(
+        "text-padding-kept",
+        "enumeration.py",
+        ".replace(b\"\\xff\", b\"\")",
+        "",
+        "block text keeps the 0xFF padding of tokens narrower than the widest",
+        ("tests/test_enumeration.py::test_text_stream_is_the_decoded_lines",),
+    ),
+    Mutant(
+        "text-last-slot-space",
+        "enumeration.py",
+        "        values[:, -1] += group.order  # the last slot ends the line\n",
+        "",
+        "the last slot of a line reads the token with a space, so no line of the text ends",
+        ("tests/test_enumeration.py::test_text_stream_is_the_decoded_lines",),
+    ),
+    Mutant(
         "bulk-draw-shift",
         "enumeration.py",
         "values = words >> (32 - k)",

@@ -24,7 +24,6 @@ import functools
 import json
 import os
 import sys
-from itertools import islice
 
 from .balance import (
     DEFAULT_ORACLE_BUDGET,
@@ -38,7 +37,7 @@ from .balance import (
     brute_force_count,
 )
 from .digraph import Digraph, GraphFormatError, analyze, load_graph
-from .enumeration import BLOCK_VALUES, BalancedCount, count, enumerate_all, sample_uniform
+from .enumeration import BalancedCount, count, enumerate_all, sample_uniform
 from .groups import FiniteGroup, make_group
 
 EXIT_OK = 0
@@ -172,17 +171,22 @@ def cmd_enumerate(args) -> int:
         raise ValueError("--limit must be nonnegative")
     group = make_group(args.group)
     d = _load_graph_file(args.graph)
-    lines = enumerate_all(group, d, args.target, args.mode, tokens=_tokens(group, args.show_elements))
-    # islice stops at sys.maxsize at most; no stream gets that far.
-    shown = lines if args.limit is None else islice(lines, min(args.limit, sys.maxsize))
-    # One write per block's worth of values keeps the text in memory bounded.
-    width = _slot_count(d, args.target)
-    per_write = max(1, BLOCK_VALUES // max(1, width))
-    while chunk := list(islice(shown, per_write)):
-        sys.stdout.write("\n".join(chunk) + "\n")
-    if args.limit is not None and next(lines, None) is not None:
-        total = count(group, d, args.target, args.mode)
-        print(f"# truncated: {args.limit} of {_count_decimal(group, total)} labelings shown")
+    # Each item is a block's text, whole lines, written as it comes: the
+    # text in memory stays bounded by the block.
+    left = args.limit
+    for text in enumerate_all(group, d, args.target, args.mode, tokens=_tokens(group, args.show_elements)):
+        if left is not None:
+            lines = text.count("\n")
+            if lines > left:
+                end = 0
+                for _ in range(left):
+                    end = text.index("\n", end) + 1
+                sys.stdout.write(text[:end])
+                total = count(group, d, args.target, args.mode)
+                print(f"# truncated: {args.limit} of {_count_decimal(group, total)} labelings shown")
+                return EXIT_OK
+            left -= lines
+        sys.stdout.write(text)
     return EXIT_OK
 
 

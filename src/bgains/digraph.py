@@ -370,7 +370,8 @@ def _weak_facts(d: Digraph) -> tuple[bool, bool]:
     most one, so an edge within one depth parity (a loop included) closes
     an odd cycle."""
     tree, odd = _spanning_forest(d)
-    return len(tree) >= d.n_vertices - 1, all(odd[u] != odd[w] for u, w in _edge_pairs(d))
+    odd, (origins, endpoints) = np.array(odd, dtype=bool), _edge_ends(d)
+    return len(tree) >= d.n_vertices - 1, not np.any(odd[origins] == odd[endpoints])
 
 
 def _edge_pairs(d: Digraph) -> Iterable[tuple[int, int]]:

@@ -63,7 +63,12 @@ with ``over[a, b] = a^-1 b``; rigid full labelings gather once more
 through each edge's origin; flexible full labelings conjugate as
 ``table[over[p, a], p] = p^-1 a p`` and, off bipartite graphs, gather once
 more through each edge's origin.  Decoding one coordinate vector, as
-``sample_uniform`` does, is the one-row case of the same gathers.  Memory
+``sample_uniform`` does, is the one-row case of the same gathers.  Text
+is one more gather, over a table of fixed-width byte strings: row i holds
+element i's token as UTF-8, then a space, padded with the byte 0xFF,
+which no UTF-8 text contains; row ``order + i`` ends the token with a
+newline instead, and each labeling's last slot reads it.  The gathered
+block's bytes, with the padding dropped, are a run of whole lines.  Memory
 is bounded by the block, whatever the length of the stream.
 
 Encoding inverts decoding.  It reads a labeling's leading coordinates and
@@ -405,7 +410,7 @@ class _Frame:
         return np.concatenate((h, e), axis=1)
 
     def blocks(self) -> Iterator[np.ndarray]:
-        """The stream, in order, as (rows, slots) arrays.
+        """The stream, in order, as (rows, slots) arrays, each a new one.
 
         The trailing coordinates of a block run over one fixed grid, as many
         of them as keep a block within ``BLOCK_VALUES`` values (or at one
@@ -476,9 +481,11 @@ def enumerate_all(
     The stream is deterministic; see the module docstring for the
     coordinate order.  Its length always equals ``count(...).value``.
 
-    With ``tokens``, one string per group element, each item is instead
-    the labeling as one line of text: the tokens of its vertex values (full
-    labelings) and then of its edge values, joined by single spaces.
+    With ``tokens``, one string per group element, the stream is instead
+    text, one line per labeling: the tokens of its vertex values (full
+    labelings) and then of its edge values, joined by single spaces and
+    ended by a newline.  Each item is the text of one block of labelings,
+    a whole number of lines.
     """
     frame = _Frame(group, d, target, mode)
     if tokens is None:
@@ -487,9 +494,15 @@ def enumerate_all(
         return
     if len(tokens) != group.order:
         raise ValueError(f"{len(tokens)} tokens for a group of order {group.order}")
-    names = np.array(tokens, dtype=object)
+    if not frame.slots:  # one empty line per labeling
+        yield from ("\n" * len(values) for values in frame.blocks())
+        return
+    rows = [t.encode("utf-8", "surrogatepass") + end for end in (b" ", b"\n") for t in tokens]
+    width = max(map(len, rows))
+    table = np.frombuffer(b"".join(row.ljust(width, b"\xff") for row in rows), f"V{width}")
     for values in frame.blocks():
-        yield from map(" ".join, names[values].tolist())
+        values[:, -1] += group.order  # the last slot ends the line
+        yield table[values].tobytes().replace(b"\xff", b"").decode("utf-8", "surrogatepass")
 
 
 def sample_uniform(

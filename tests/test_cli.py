@@ -481,6 +481,26 @@ def test_enumerate_limit_cuts_the_stream_anywhere(monkeypatch):
         assert got == expected.hexdigest(), limit
 
 
+def test_enumerate_limit_cuts_named_lines_of_unequal_widths(monkeypatch, run):
+    """``--show-elements`` over ``quaternion:8``, whose names take one or two
+    characters, in blocks of 64 lines: the lines shown are the prefix of the
+    library's text, and the marker follows exactly when lines were cut."""
+    monkeypatch.setattr(enumeration, "BLOCK_VALUES", 8 * 100)
+    cycle4 = str(DATA / "cycle4.txt")
+    group, d = make_group("quaternion:8"), load_graph(data_text("cycle4.txt"))
+    lines = "".join(enumeration.enumerate_all(group, d, FULL, "flexible", tokens=group.element_names))
+    lines = lines.splitlines(keepends=True)
+    block = next(enumeration._Frame(group, d, FULL, "flexible").blocks()).shape[0]
+    total = len(lines)
+    assert block == 64 and total == 4096
+    for limit in (1, block, block + block // 2, total - 1, total):
+        code, out, err = run("enumerate", cycle4, "--group", "quaternion:8", "--target", FULL,
+                             "--mode", "flexible", "--show-elements", "--limit", str(limit))
+        marker = f"# truncated: {limit} of {total} labelings shown\n" if limit < total else ""
+        assert (code, err) == (EXIT_OK, "")
+        assert out == "".join(lines[:limit]) + marker, limit
+
+
 def traced_peak(monkeypatch, argv) -> int:
     """Peak traced allocation of one CLI run, its stdout only hashed."""
     monkeypatch.setattr(sys, "stdout", HashingStdout())

@@ -360,10 +360,8 @@ def test_enumerate_order_is_frozen(triangle):
 @pytest.mark.parametrize("block_values", [1, 40, enumeration.BLOCK_VALUES])
 def test_block_stream_is_the_row_by_row_decode(monkeypatch, block_values):
     """However the stream is cut into blocks, it is the one-row decode of
-    every coordinate vector in lexicographic order, as labelings and as
-    lines."""
+    every coordinate vector in lexicographic order."""
     monkeypatch.setattr(enumeration, "BLOCK_VALUES", block_values)
-    tokens = ("e", "x", "y")
     g = make_group("cyclic:3")
     for path in sorted(DATA.glob("*.txt")):
         d = load_graph(path.read_text())
@@ -371,11 +369,46 @@ def test_block_stream_is_the_row_by_row_decode(monkeypatch, block_values):
             frame = enumeration._Frame(g, d, target, mode)
             expected = [frame.decode(c) for c in itertools.product(*map(range, frame.radices))]
             assert list(enumerate_all(g, d, target, mode)) == expected, (path.name, target, mode)
-            lines = [
-                " ".join(tokens[v] for v in (h.values if target == EDGES else h.vertex_values + h.edge_values))
-                for h in expected
-            ]
-            assert list(enumerate_all(g, d, target, mode, tokens=tokens)) == lines
+
+
+# Lines of each text stream compared; every stream over cyclic:3 is shorter.
+TEXT_LINES = 2_500
+
+
+@pytest.mark.parametrize(
+    "spec,tokens",
+    [
+        ("cyclic:3", ("e", "x", "y")),
+        ("cyclic:3", ("", "a", "bb")),
+        ("cyclic:3", ("\u00e9", "\u03c8\u03c8", "x")),
+        ("cyclic:3", ("a", "\ud800", "bc")),
+        ("quaternion:8", None),
+        ("product:cyclic:2,symmetric:3", None),
+    ],
+    ids=["equal-widths", "empty-token", "multi-byte", "lone-surrogate", "quaternion", "product"],
+)
+def test_text_stream_is_the_decoded_lines(monkeypatch, spec, tokens):
+    """However the stream is cut into blocks, its text is the one-row decode
+    of every coordinate vector as a line of tokens, whatever the widths and
+    encodings of the tokens; None stands for the group's element names.
+    Streams longer than ``TEXT_LINES`` are compared on their first lines."""
+    g = make_group(spec)
+    tokens = tokens or g.element_names
+    for path in sorted(DATA.glob("*.txt")):
+        d = load_graph(path.read_text())
+        for target, mode in CASES:
+            frame = enumeration._Frame(g, d, target, mode)
+            coords = itertools.islice(itertools.product(*map(range, frame.radices)), TEXT_LINES)
+            expected = "".join(" ".join(tokens[v] for v in key(frame.decode(c))) + "\n" for c in coords)
+            whole = count(g, d, target, mode).value <= TEXT_LINES
+            for block_values in (1, 40, enumeration.BLOCK_VALUES):
+                monkeypatch.setattr(enumeration, "BLOCK_VALUES", block_values)
+                got = ""
+                for text in enumerate_all(g, d, target, mode, tokens=tokens):
+                    got += text
+                    if len(got) > len(expected):
+                        break
+                assert got == expected if whole else got.startswith(expected), (path.name, target, mode, block_values)
 
 
 def test_encode_accepts_exactly_the_oracle_labelings():
