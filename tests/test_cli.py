@@ -488,8 +488,8 @@ def test_enumerate_limit_cuts_named_lines_of_unequal_widths(monkeypatch, run):
     monkeypatch.setattr(enumeration, "BLOCK_VALUES", 8 * 100)
     cycle4 = str(DATA / "cycle4.txt")
     group, d = make_group("quaternion:8"), load_graph(data_text("cycle4.txt"))
-    lines = "".join(enumeration.enumerate_all(group, d, FULL, "flexible", tokens=group.element_names))
-    lines = lines.splitlines(keepends=True)
+    text = "".join(enumeration.enumerate_all(group, d, FULL, "flexible", tokens=group.element_names))
+    lines = text.splitlines(keepends=True)
     block = next(enumeration._Frame(group, d, FULL, "flexible").blocks()).shape[0]
     total = len(lines)
     assert block == 64 and total == 4096
