@@ -190,6 +190,38 @@ MUTANTS = (
         "the array analyze forgets that a loop makes a graph non-bipartite",
         ("tests/test_digraph.py::test_the_weak_search_reads_bipartiteness_off_its_depths",),
     ),
+    Mutant(
+        "byte-parser-comment-ends-at-lf-only",
+        "digraph.py",
+        'rb"#[^\\r\\n]*"',
+        'rb"#[^\\n]*"',
+        "a comment runs past a lone \\r to the next \\n, so 0 1 # c\\r1 2 loses its second edge",
+        ("tests/test_digraph.py::test_other_line_breaks_go_to_the_line_parser",),
+    ),
+    Mutant(
+        "byte-parser-n-line-19-digits",
+        "digraph.py",
+        "([0-9]{1,18})",
+        "([0-9]{1,19})",
+        "the n= line takes a 19-digit count, where the format allows at most 18 digits",
+        ("tests/test_digraph.py::test_the_n_line_is_read_as_the_reference_reads_it",),
+    ),
+    Mutant(
+        "table-number-admits-plus",
+        "groups.py",
+        '_TABLE_NUMBER = re.compile("[0-9]+")',
+        '_TABLE_NUMBER = re.compile("[+0-9]+")',
+        "a Cayley table file reads +1 as 1, where only ASCII digits make a number",
+        ("tests/test_groups.py::test_table_file_parse_errors",),
+    ),
+    Mutant(
+        "constructor-array-writeable",
+        "digraph.py",
+        "        ends.flags.writeable = False\n        self.__dict__.update(",
+        "        self.__dict__.update(",
+        "a constructed graph's edge array stays writeable, so a caller could change the graph under its kept report",
+        ("tests/test_digraph.py::test_a_constructed_graph_holds_its_read_only_edge_array",),
+    ),
 )
 
 

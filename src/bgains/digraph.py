@@ -11,9 +11,9 @@ decomposition (component count and number of cross-component edges).
 same report.  Below ``_ARRAY_EDGES`` edges it runs Tarjan's algorithm and
 ``_spanning_forest`` over Python lists.  That forest is the library's one
 spanning forest: the enumeration frames take their trees from it too.
-From there on ``analyze`` works on the edge arrays of ``_edge_ends``.  It
-builds the out- and in-adjacency of the edges that are not loops once, and
-one frontier search, ``_reach``, runs over them in rounds up to a fixed
+From there on ``analyze`` works on the graph's edge array.  It builds
+the out- and in-adjacency of the edges that are not loops once, and one
+frontier search, ``_reach``, runs over them in rounds up to a fixed
 bound.  Its search from vertex 0 over both gives weak connectivity and
 bipartiteness: when it reaches every vertex the graph is connected, and it
 is bipartite when it has no loop and no edge joins two depths of one
@@ -31,8 +31,8 @@ components still ends in Tarjan's loop, and a deep graph in the forest.
 The arrays cost a fixed overhead per call, several times the whole Python
 path on a graph of a few edges, and pay off only from some thousands of
 edges on; so small graphs, which the oracle checks analyze by the
-thousand, stay on the Python path.  The report, the forests and the edge
-arrays are computed once per Digraph object, which is immutable, and kept on it.
+thousand, stay on the Python path.  The report and the forests are
+computed once per Digraph object, which is immutable, and kept on it.
 
 Graph file format::
 
@@ -48,18 +48,21 @@ A file is bytes: ASCII digits, spaces and tabs, in lines that end with
 comment runs from the first ``#`` of a line to its end and may hold any
 other byte.  ``load_graph`` reads a ``str`` as its UTF-8 bytes.
 
-``_parse_bytes`` is the one parser: numpy reads the file over its bytes,
-in chunks cut at line ends: character classes by comparison, the digit runs
-and the line of each run, and the integers, straight into the int32 edge
-array.  Only a file that it declines goes on to ``_first_error``, which
-reads it from the step that was declined, names the first bad line by its
-number and builds no graph.  A parsed graph holds only that array; its
-``edges`` tuple is built when first read, and the counts, ``analyze`` above
-``_ARRAY_EDGES`` edges and the frames read the array alone.
+``_parse_bytes`` is the one parser.  It reads the file in chunks cut at
+line ends.  In each, one regex cuts the comments and, until a significant
+line is seen, another reads the n= line; numpy reads the rest over its
+bytes: character classes by comparison, the digit runs and the line of each
+run, and the integers, straight into the int32 edge array.  Only a file
+that it declines goes on to ``_first_error``, which reads it from the step
+that was declined, names the first bad line by its number and builds no
+graph.
 
-The constructor checks every edge.  Only the byte parser's builder,
-``_array_digraph``, skips it, since the byte parser has checked every entry
-of its array.
+Every graph holds its edge array, the read-only (2, E) array of origins and
+endpoints, from the moment it exists: the counts, ``analyze`` and the
+frames read it.  The constructor checks every edge and builds the array.
+Only the byte parser's builder, ``_array_digraph``, skips the check, since
+the byte parser has checked every entry of its array; a parsed graph holds
+that array alone, and its ``edges`` tuple is built when first read.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -101,28 +104,30 @@ class Digraph:
         if n < 0:
             raise ValueError(f"n_vertices must be nonnegative, got {n}")
         edges = tuple(_checked_edge(e, pair, n) for e, pair in enumerate(self.edges))
-        object.__setattr__(self, "n_vertices", n)
-        object.__setattr__(self, "edges", edges)
+        # The edge array, origins and endpoints in two rows: int32 below
+        # 2**31 vertices, where every vertex fits.
+        dtype = np.int32 if n < 2**31 else np.int64
+        ends = np.fromiter(itertools.chain.from_iterable(edges), dtype, 2 * len(edges)).reshape(-1, 2).T.copy()
+        ends.flags.writeable = False
+        self.__dict__.update(n_vertices=n, edges=edges, _ends=ends)
 
     def __getattr__(self, name: str):
         # Reached only when the usual lookup fails: for ``edges`` of a graph
         # that ``_array_digraph`` built, until it is first read.
-        if name != "edges" or "_ends" not in self.__dict__:
+        if name != "edges":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         edges = self.__dict__["edges"] = tuple(zip(*self._ends.tolist()))
         return edges
 
     def __reduce__(self):
-        # A copy is rebuilt from the vertex count and the edges, or the edge
-        # array of a graph whose edges were never read: no kept report,
-        # forest or array, and an array read-only as in any graph.
-        if "edges" in self.__dict__:
-            return Digraph, (self.n_vertices, self.edges)
+        # A copy is rebuilt from the vertex count and the edge array: no
+        # kept report, forest or edge tuples, and an array read-only as in
+        # any graph.
         return _array_digraph, (self.n_vertices, self._ends)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges) if "edges" in self.__dict__ else self._ends.shape[1]
+        return self._ends.shape[1]
 
 
 def _checked_edge(e: int, pair, n: int) -> tuple[int, int]:
@@ -162,6 +167,13 @@ _VERTEX_LIMIT = 1_000_000
 
 # A line end, as bytes.splitlines reads it: \r\n, a lone \r or \n.
 _LINE_END = re.compile(rb"\r\n?|\n")
+
+# A comment: from the first # of a line to its end.
+_COMMENT = re.compile(rb"#[^\r\n]*")
+
+# The n= line, the first significant line once comments are cut, up to its
+# line end; blank lines may come before it.
+_N_LINE = re.compile(rb"[ \t\r\n]*n[ \t]*=[ \t]*([0-9]{1,18})[ \t]*(?=[\r\n]|\Z)")
 
 # A well-formed significant line with its comment cut off and its spaces and
 # tabs stripped: an n= line or an edge.  A number has at most 18 digits,
@@ -208,35 +220,19 @@ def _parse_bytes(data: bytes) -> tuple[int, np.ndarray] | _Declined:
     n_declared, seen, top, parts = None, False, -1, [np.empty((2, 0), np.int32)]
     start = 0
     while start < len(data):
-        step = _Declined(start, n_declared, seen)
         cut = _LINE_END.search(data, start + _CHUNK)
-        b = np.frombuffer(data, np.uint8, (cut.end() if cut else len(data)) - start, start)
-        start += len(b)
+        step, start = _Declined(start, n_declared, seen), cut.end() if cut else len(data)
+        text = _COMMENT.sub(b"", data[step.offset : start])
+        if not seen and text.strip(b" \t\r\n"):
+            seen, head = True, _N_LINE.match(text)
+            if head:  # read the n= line, and cut it off
+                n_declared, text = int(head[1]), text[head.end() :]
+                if n_declared > _VERTEX_LIMIT:
+                    return step
+        b = np.frombuffer(text, np.uint8)
         line_ends = np.flatnonzero((b == 10) | (b == 13))
         blank = (b == 32) | (b == 9) | (b == 13) | (b == 10)
         digit = (b >= 48) & (b <= 57)
-        hashes = np.flatnonzero(b == 35)
-        if len(hashes):  # a comment runs from the first # of a line to the line end
-            line = np.searchsorted(line_ends, hashes)
-            leading = np.ones(len(hashes), dtype=bool)
-            leading[1:] = line[1:] != line[:-1]
-            bounds = np.zeros(len(b) + 1, dtype=np.int8)
-            bounds[hashes[leading]] = 1
-            bounds[np.append(line_ends, len(b))[line[leading]]] = -1
-            comment = np.cumsum(bounds[:-1], dtype=np.int8).view(bool)
-            blank |= comment
-            digit &= ~comment
-        if not seen and not blank.all():
-            seen, first = True, int(np.argmax(~blank))
-            if b[first] == 110:  # "n": the n= line, read and then blanked out
-                end = np.append(line_ends, len(b))[np.searchsorted(line_ends, first)]
-                head = bytes(b[first:end]).partition(b"#")[0].rstrip(b" \t")
-                if not _LINE.fullmatch(head):
-                    return step
-                n_declared = int(head.partition(b"=")[2])
-                if n_declared > _VERTEX_LIMIT:
-                    return step
-                blank[first:end], digit[first:end] = True, False
         if not np.all(blank | digit):
             return step
         # The digit runs start and stop where ``digit`` flips.  Each line
@@ -317,8 +313,8 @@ def _array_digraph(n_vertices: int, ends: np.ndarray) -> Digraph:
     ``ends[1, e]``, built without ``Digraph.__post_init__``.  It is the one
     builder that skips the constructor's check: its arrays come from the
     byte parser, which has checked that every entry lies in
-    ``0..n_vertices - 1``, or from a copy of such a graph.  ``ends`` is
-    made read-only and kept as ``_edge_ends`` keeps it, and ``edges`` is
+    ``0..n_vertices - 1``, or from a copy of a graph.  ``ends`` is made
+    read-only and kept as the constructor keeps its own, and ``edges`` is
     built from it when first read."""
     ends.flags.writeable = False
     d = object.__new__(Digraph)
@@ -344,7 +340,7 @@ def _breadth_first_forest(d: Digraph, part: Sequence[int] | None) -> tuple[tuple
     ``backwards``), and whether each vertex lies at odd depth.
     """
     incident: list[list[tuple[int, int, bool]] | None] = [[] for _ in range(d.n_vertices)]
-    for e, (u, w) in enumerate(_edge_pairs(d)):
+    for e, (u, w) in enumerate(zip(*d._ends.tolist())):
         if part is None or part[u] == part[w]:
             incident[u].append((e, w, False))
             incident[w].append((e, u, True))
@@ -370,25 +366,8 @@ def _weak_facts(d: Digraph) -> tuple[bool, bool]:
     most one, so an edge within one depth parity (a loop included) closes
     an odd cycle."""
     tree, odd = _spanning_forest(d)
-    odd, (origins, endpoints) = np.array(odd, dtype=bool), _edge_ends(d)
+    odd, (origins, endpoints) = np.array(odd, dtype=bool), d._ends
     return len(tree) >= d.n_vertices - 1, not np.any(odd[origins] == odd[endpoints])
-
-
-def _edge_pairs(d: Digraph) -> Iterable[tuple[int, int]]:
-    """The (origin, endpoint) pairs in edge order.  A parsed graph's edge
-    tuples stay unbuilt: its array's rows are read instead."""
-    return d.edges if "edges" in d.__dict__ else zip(*_edge_ends(d).tolist())
-
-
-def _edge_ends(d: Digraph) -> np.ndarray:
-    """Origins and endpoints, the two rows of a read-only array; kept on ``d``.
-    int32 below 2**31 vertices, where every vertex fits."""
-    if "_ends" not in d.__dict__:
-        dtype = np.int32 if d.n_vertices < 2**31 else np.int64
-        ends = np.fromiter(itertools.chain.from_iterable(d.edges), dtype, 2 * d.n_edges).reshape(-1, 2).T.copy()
-        ends.flags.writeable = False
-        d.__dict__["_ends"] = ends
-    return d.__dict__["_ends"]
 
 
 def _strong_components(succ: list[list[int]]) -> tuple[list[int], int]:
@@ -610,7 +589,7 @@ def analyze(d: Digraph) -> StructureReport:
 def _analyze_arrays(d: Digraph) -> StructureReport:
     """``analyze`` on numpy arrays."""
     n = d.n_vertices
-    origins, ends = _edge_ends(d)
+    origins, ends = d._ends
     distinct = origins != ends  # a loop joins a vertex to no other
     tails, heads = origins[distinct], ends[distinct]
     out_edges, in_edges = _adjacency(n, tails, heads), _adjacency(n, heads, tails)

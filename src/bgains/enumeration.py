@@ -106,7 +106,7 @@ from .balance import (
     _edge_labeling,
     _full_labeling,
 )
-from .digraph import Digraph, StructureReport, _edge_ends, _spanning_forest, analyze
+from .digraph import Digraph, StructureReport, _spanning_forest, analyze
 from .groups import FiniteGroup
 
 __all__ = [
@@ -234,7 +234,7 @@ def potential_to_edges(group: FiniteGroup, d: Digraph, p: Potential) -> EdgeLabe
     if len(p.values) != d.n_vertices:
         raise ValueError(f"potential has {len(p.values)} values for {d.n_vertices} vertices")
     _check_elements(group, p.values)
-    values, (origins, endpoints) = np.array(p.values, dtype=np.intp), _edge_ends(d)
+    values, (origins, endpoints) = np.array(p.values, dtype=np.intp), d._ends
     return EdgeLabeling(tuple(group.over_array[values[origins], values[endpoints]].tolist()), FLEXIBLE)
 
 
@@ -385,7 +385,7 @@ class _Frame:
         first_cross = self._lead + np.count_nonzero(later)
         p = np.full(n, k, dtype=np.intp)
         p[later] = np.arange(self._lead, first_cross)
-        self._origins, endpoints = _edge_ends(d)
+        self._origins, endpoints = d._ends
         cross = part[self._origins] != part[endpoints]
         self._potential_slots = p
         self._origin_slots = np.where(cross, k, p[self._origins])

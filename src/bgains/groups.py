@@ -30,6 +30,7 @@ verbatim: the identity is read off but never moved.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,6 +54,10 @@ __all__ = [
 # intp array, and validation makes a few more order^2 arrays; the cap
 # bounds that memory.
 _ORDER_LIMIT = 1024
+
+# The fields of a table file line, and the one form of a number in them.
+_TABLE_BLANKS = re.compile("[ \t]+")
+_TABLE_NUMBER = re.compile("[0-9]+")
 
 # Order-1 factors never reach the order cap, so product nesting is capped
 # on its own; the parser recurses once per level.
@@ -297,20 +302,25 @@ def load_cayley_table(path: str) -> FiniteGroup:
     """Load a group from a Cayley table file.
 
     Format: first significant line is the order n, then n lines of n
-    integers in 0..n-1 (row a lists a*0, a*1, ...).  ``#`` starts a comment.
-    A line holds at most ``80 + 8 * n`` characters, line end included, and
-    the file at most ``100 + 2 * n`` lines, blank and comment lines included.
-    The identity is detected but elements are NOT renumbered.
+    integers in 0..n-1 (row a lists a*0, a*1, ...).  As in graph files, a
+    number is ASCII digits, fields are split by spaces and tabs, lines end
+    with ``\n``, ``\r\n`` or a lone ``\r``, and ``#`` starts a comment,
+    which may hold any byte.  A line holds at most ``80 + 8 * n`` bytes, its
+    line end counted as one, and the file at most ``100 + 2 * n`` lines,
+    blank and comment lines included.  The identity is detected but elements are
+    NOT renumbered.
     """
     try:
-        fh = open(path, encoding="utf-8")
+        # Latin-1 reads each byte as one character, and universal newlines
+        # end a line at \n, \r\n or a lone \r and nowhere else.
+        fh = open(path, encoding="latin-1")
     except OSError as exc:
         raise GroupSpecError(f"cannot read cayley table {path!r}: {exc}") from exc
 
     rows: list[list[int]] = []
     order: int | None = None
     # Lines are read with a cap, so that a file without line ends cannot
-    # exhaust memory: 8 characters per entry, 80 more for a comment, and
+    # exhaust memory: 8 bytes per entry, 80 more for a comment, and
     # before the order line, the cap of the largest order.  The lines are
     # capped as well, so that an endless stream of blank lines ends too.
     limit, max_lines = 80 + 8 * _ORDER_LIMIT, 100 + 2 * _ORDER_LIMIT
@@ -323,17 +333,17 @@ def load_cayley_table(path: str) -> FiniteGroup:
                 raise GroupSpecError(f"{path}: line {lineno}: more than {max_lines:,} lines")
             if len(line) > limit:
                 raise GroupSpecError(f"{path}: line {lineno}: longer than {limit:,} characters")
-            text = line.split("#", 1)[0].strip()
+            text = line.partition("#")[0].strip(" \t\n")
             if not text:
                 continue
-            fields = text.split()
+            fields = _TABLE_BLANKS.split(text)
+            numeric = all(map(_TABLE_NUMBER.fullmatch, fields))
             if order is None:
                 if len(fields) != 1:
                     raise GroupSpecError(f"{path}: line {lineno}: expected the group order alone")
-                try:
-                    order = int(fields[0])
-                except ValueError:
-                    raise GroupSpecError(f"{path}: line {lineno}: order is not an integer") from None
+                if not numeric:
+                    raise GroupSpecError(f"{path}: line {lineno}: order is not an integer")
+                order = int(fields[0])
                 if order < 1:
                     raise GroupSpecError(f"{path}: line {lineno}: order must be >= 1")
                 # Before any row is read: the rows alone take order^2 memory.
@@ -342,10 +352,9 @@ def load_cayley_table(path: str) -> FiniteGroup:
                 continue
             if len(rows) == order:
                 raise GroupSpecError(f"{path}: line {lineno}: expected {order} table rows, got more")
-            try:
-                row = [int(f) for f in fields]
-            except ValueError:
-                raise GroupSpecError(f"{path}: line {lineno}: non-integer table entry") from None
+            if not numeric:
+                raise GroupSpecError(f"{path}: line {lineno}: non-integer table entry")
+            row = [int(f) for f in fields]
             if len(row) != order:
                 raise GroupSpecError(
                     f"{path}: line {lineno}: expected {order} entries, got {len(row)}"

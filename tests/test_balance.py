@@ -704,7 +704,7 @@ def test_oracle_and_walk_checks_name_no_frame_code():
     named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     named |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     named |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
-    assert not named & {"_spanning_forest", "_breadth_first_forest", "_edge_ends", "_Frame"}
+    assert not named & {"_spanning_forest", "_breadth_first_forest", "_ends", "_Frame"}
 
 
 def test_oracle_fast_path_and_reference_share_no_walk_code():

@@ -22,7 +22,6 @@ from bgains.digraph import (
     _analyze_arrays,
     _Declined,
     _array_digraph,
-    _edge_ends,
     _parse_bytes,
     _spanning_forest,
     analyze,
@@ -238,6 +237,21 @@ def test_a_line_of_other_whitespace_is_a_bad_token(line):
     assert str(exc.value) == f"line 2: expected numbers of 1 to 18 ASCII digits between spaces or tabs, got {got!r}"
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "n\t=\t3\n0 1\n", " \r\n\t\n n = 3 \r\n0 1\n", "# c\n\nn=3", "n=3#c\r1 2\r",
+        "n=000000000000000003 # 18 digits\n0 1\n", "n=0000000000000000003\n0 1\n", "n=3 4\n", "n=3\t#\n0 3\n",
+    ],
+)
+def test_the_n_line_is_read_as_the_reference_reads_it(text):
+    """The n= line takes spaces and tabs around its = and at most 18 digits,
+    and ends at a line end, a comment or the end of the text."""
+    expected = _line_parser(text)
+    assert _outcome(text) == expected
+    assert (_bulk_graph(text) is None) == (not isinstance(expected, Digraph))
+
+
 def _assert_is_the_public_graph(d):
     """A graph built without the constructor's checks is the graph that the
     public constructor makes, with plain-int tuples."""
@@ -370,20 +384,42 @@ def test_a_parsed_graph_keeps_its_edge_array_alone():
     assert kept < 16 * lines
 
 
+@pytest.mark.parametrize(
+    "n, edges, ends",
+    [
+        (3, ((0, 1), (1, 2), (2, 0)), [[0, 1, 2], [1, 2, 0]]),
+        (np.int64(3), ((np.int64(2), np.int32(1)), (True, np.uint8(0))), [[2, 1], [1, 0]]),
+        (3, [[0, 1], (1, 1), [2, 0]], [[0, 1, 2], [1, 1, 0]]),
+        (0, (), [[], []]),
+        (4, [], [[], []]),
+    ],
+    ids=["tuples", "integer-likes", "lists", "no-vertices", "no-edges"],
+)
+def test_a_constructed_graph_holds_its_read_only_edge_array(n, edges, ends):
+    """The constructor builds the (2, E) array of origins and endpoints
+    with the graph; nothing is computed on the graph before it is read."""
+    d = Digraph(n, edges)
+    assert set(d.__dict__) == {"n_vertices", "edges", "_ends"}
+    assert d._ends.dtype == np.int32 and d._ends.tolist() == ends and d.n_edges == len(ends[0])
+    assert d._ends.shape == (2, len(d.edges)) and d._ends.flags.c_contiguous
+    assert not d._ends.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        d._ends[...] = 0
+
+
 @pytest.mark.parametrize("parsed", [False, True], ids=["constructed", "parsed"])
 def test_copies_keep_no_caches_and_a_read_only_edge_array(parsed):
-    """A copy is rebuilt from the vertex count and the edges, or the edge
-    array of a parsed graph whose edges were never read, so it carries no
-    kept report, forest or writeable array.  The parsed graph is analyzed on
-    its array, which reads no edge tuple."""
+    """A copy is rebuilt from the vertex count and the edge array, so it
+    carries no kept report, forest, edge tuples or writeable array.  The
+    parsed graph is analyzed on its array, which reads no edge tuple."""
     d = load_graph("n=4\n" + "0 1\n1 0\n" * (_ARRAY_EDGES // 2)) if parsed else Digraph(4, ((0, 1), (1, 2)))
-    analyze(d), _edge_ends(d)
+    analyze(d)
     if not parsed:
         _spanning_forest(d, rigid=True)
     copies = [pickle.loads(pickle.dumps(d)), copy.deepcopy(d), copy.copy(d)]
     for c in copies:
-        assert set(c.__dict__) == ({"n_vertices", "_ends"} if parsed else {"n_vertices", "edges"})
-        assert not _edge_ends(c).flags.writeable
+        assert set(c.__dict__) == {"n_vertices", "_ends"}
+        assert not c._ends.flags.writeable
     if not parsed:
         assert len(pickle.dumps(d)) == len(pickle.dumps(Digraph(4, ((0, 1), (1, 2)))))
     for c in copies:

@@ -379,13 +379,35 @@ def test_table_file_associativity_violation(tmp_path):
         ("1\n0\n0\n0\n", "line 3: expected 1 table rows, got more"),
         ("2\n0 1 #" + "-" * 92 + "\n1 0", "line 2: longer than 96 characters"),
         ("1\n" + "\n" * 101 + "0\n", "line 103: more than 102 lines"),
+        # Only ASCII digits make a number, and only spaces and tabs split fields.
+        ("2\n0 +1\n1 0\n", "line 2: non-integer table entry"),
+        ("2\n0 1\n1 0_0\n", "line 3: non-integer table entry"),
+        ("+2\n0 1\n1 0\n", "line 1: order is not an integer"),
+        ("\u0662\n0 1\n1 0\n", "line 1: order is not an integer"),
+        ("2\n0 \uff11\n1 0\n", "line 2: non-integer table entry"),
+        ("2\n0\xa01\n1 0\n", "line 2: non-integer table entry"),
+        ("2\n0 1\f\n1 0\n", "line 2: non-integer table entry"),
+        ("2\n0 1\n1\x1c0\n", "line 3: non-integer table entry"),
+        # The line cap counts bytes: 46 two-byte characters fill 92.
+        ("2\n0 1 #" + "\xe9" * 46 + "\n1 0", "line 2: longer than 96 characters"),
     ],
 )
 def test_table_file_parse_errors(tmp_path, content, message):
     path = tmp_path / "t.txt"
-    path.write_text(content)
+    path.write_bytes(content.encode())
     with pytest.raises((GroupSpecError, GroupAxiomError), match=message):
         make_group(f"table:{path}")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"2\n0 1\n1 0\n", b"2\r0 1\r1 0\r", b"2\r\n0\t1 \r\n\t1  0\r\n", b"# \xff\xfe \x85\n2 # \xc3\n0 1 #\f\n1 0 #\x1c 1\n"],
+    ids=["lf", "cr", "crlf-and-tabs", "comment-bytes"],
+)
+def test_table_file_lines_end_alike_and_comments_hold_any_byte(tmp_path, content):
+    path = tmp_path / "t.txt"
+    path.write_bytes(content)
+    assert make_group(f"table:{path}").table == make_group("cyclic:2").table
 
 
 def test_missing_table_file():
